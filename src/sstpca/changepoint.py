@@ -13,6 +13,7 @@ import numpy as np
 
 from .decompose import Factor, FitDiagnostics, FitOptions, fit_single_factor
 from .errors import DegenerateSeries, TooFewSlices
+from .linalg import sym
 from .tensor import SemiSymTensor, frob_norm
 
 
@@ -83,7 +84,6 @@ def detection_snr(
     shorter segment, over the noise scale. Reported alongside simulated
     ground truth; never asserted as a bound.
     """
-    diff = np.asarray(mean_before, dtype=np.float64) - np.asarray(mean_after, dtype=np.float64)
-    diff = (diff + diff.T) / 2.0
+    diff = sym(np.asarray(mean_before, dtype=np.float64) - np.asarray(mean_after, dtype=np.float64))
     opnorm = float(np.abs(np.linalg.eigvalsh(diff)).max())
     return opnorm * np.sqrt(min(tau_star, T - tau_star)) / sigma

@@ -2,10 +2,16 @@
 
 Five subcommands: ``decompose``, ``changepoint``, ``simulate``,
 ``benchmark``, and ``rank-select``. Every command writes one canonical
-JSON artifact (sorted keys, no timestamps) so a fixed seed yields
-byte-identical output across runs and thread counts; tabular side
-products go to CSV. Exit codes: 0 success, 1 flagged non-convergence,
-2 input error.
+JSON artifact (sorted keys, no timestamps); tabular side products go to
+CSV. For a fixed seed and a fixed BLAS thread count (OPENBLAS_NUM_THREADS
+and the like) the bytes are identical across runs and worker-thread
+counts; another BLAS thread count can change the last digits, because
+the eigensolver's rounding depends on it.
+
+All five commands run through one runner, `_command`, which owns the exit
+codes: 0 success, 2 input error, 1 flagged non-convergence. Only
+``decompose`` and ``changepoint`` report non-convergence; the other
+commands exit 0 even when a fit inside them hits the iteration cap.
 
 The worker thread count comes from ``--threads`` or the SSTPCA_THREADS
 environment variable and is deliberately not part of the echoed config:
@@ -39,11 +45,19 @@ from .fileio import (
 )
 from .linalg import procrustes_aligned_rmse, random_stiefel, random_unit, sign_aligned_error
 from .ranksel import rank_select_bic_trace
-from .simulate import SweepCell, goe_noise, rate_sweep, spike_model, sweep_rows, write_sweep_csv
+from .simulate import (
+    SweepCell,
+    _stat_iteration,
+    goe_noise,
+    rate_sweep,
+    spike_model,
+    sweep_rows,
+    write_sweep_csv,
+)
 from .tensor import SemiSymTensor
 
-_TUPLE_INT = ("ranks", "p_list", "r_list")
-_TUPLE_FLOAT = ("d_list",)
+# Comma-separated list options and the type of their elements.
+_LIST_CASTS = {"ranks": int, "p_list": int, "r_list": int, "d_list": float}
 
 
 @dataclass(frozen=True)
@@ -89,7 +103,7 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
-        for key in _TUPLE_INT + _TUPLE_FLOAT:
+        for key in _LIST_CASTS:
             if out[key] is not None:
                 out[key] = list(out[key])
         return out
@@ -97,12 +111,9 @@ class RunConfig:
     @classmethod
     def from_dict(cls, dct: dict) -> "RunConfig":
         kwargs = dict(dct)
-        for key in _TUPLE_INT:
+        for key, cast in _LIST_CASTS.items():
             if kwargs.get(key) is not None:
-                kwargs[key] = tuple(int(x) for x in kwargs[key])
-        for key in _TUPLE_FLOAT:
-            if kwargs.get(key) is not None:
-                kwargs[key] = tuple(float(x) for x in kwargs[key])
+                kwargs[key] = tuple(cast(x) for x in kwargs[key])
         return cls(**kwargs)
 
     def validate(self) -> None:
@@ -114,6 +125,9 @@ class RunConfig:
             raise ParseError("ranks must be positive")
         if self.tol <= 0 or self.max_iter < 1:
             raise ParseError("tol must be positive and max_iter at least 1")
+
+
+_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def _payload(cfg: RunConfig, results: dict) -> dict:
@@ -142,18 +156,24 @@ def _thresholded_network(factor, threshold: float) -> list:
     return [float(x) for x in W.ravel(order="C")]
 
 
-def _parse_int_list(text: str, flag: str) -> tuple:
+def _parse_list(text: str, key: str) -> tuple:
+    cast = _LIST_CASTS[key]
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip())
+        return tuple(cast(x) for x in text.split(",") if x.strip())
     except ValueError as e:
-        raise ParseError(f"{flag}: expected comma-separated integers, got {text!r}") from e
+        kind = "integers" if cast is int else "numbers"
+        flag = "--" + key.replace("_", "-")
+        raise ParseError(f"{flag}: expected comma-separated {kind}, got {text!r}") from e
 
 
-def _parse_float_list(text: str, flag: str) -> tuple:
-    try:
-        return tuple(float(x) for x in text.split(",") if x.strip())
-    except ValueError as e:
-        raise ParseError(f"{flag}: expected comma-separated numbers, got {text!r}") from e
+def _write_csv(path, header: list, rows) -> None:
+    """Write a CSV side product; no-op when its option was not given."""
+    if not path:
+        return
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @click.group()
@@ -162,116 +182,129 @@ def main():
     """Network-series tensor PCA toolkit."""
 
 
-@main.command()
-@click.option("--input", "input_", required=True, type=click.Path(exists=True))
-@click.option("--format", "fmt", default="long-csv", type=click.Choice(FORMATS))
-@click.option("--ranks", default="1", help="Comma-separated factor ranks, e.g. '3' or '3,2'.")
-@click.option("--scheme", default="hotelling", type=click.Choice(SCHEMES))
-@click.option("--seed", default=0, type=int)
-@click.option("--tol", default=1e-8, type=float)
-@click.option("--max-iter", default=200, type=int)
-@click.option("--init", default="stable", type=click.Choice(["stable", "random"]))
-@click.option("--eigen-scaled", is_flag=True, default=False)
-@click.option("--edge-threshold", default=None, type=float,
-              help="If set, emit principal networks with |edges| below this zeroed.")
-@click.option("--output", required=True, type=click.Path())
-@click.option("--trace-csv", default=None, type=click.Path())
-def decompose(input_, fmt, ranks, scheme, seed, tol, max_iter, init, eigen_scaled,
-              edge_threshold, output, trace_csv):
+def _command(name: str, *options):
+    """Register a subcommand that maps its options to one RunConfig.
+
+    The decorated body receives the validated config (plus any option that
+    is not a RunConfig field, such as --threads) and returns
+    ``(results, problem)``. The runner silences library warnings, writes
+    the canonical JSON, and owns the exit codes: 2 with the message on an
+    SSTPCAError, 1 after writing the results when ``problem`` is set.
+    """
+
+    def register(body):
+        def run(**params):
+            extra = {k: params.pop(k) for k in list(params) if k not in _FIELDS}
+            try:
+                for key in _LIST_CASTS:  # dict order: --p-list is reported before --d-list
+                    if key in params:
+                        params[key] = _parse_list(params[key], key)
+                cfg = RunConfig(command=name, **params)
+                cfg.validate()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    results, problem = body(cfg, **extra)
+                write_json(cfg.output, _payload(cfg, results))
+            except SSTPCAError as e:
+                click.echo(f"error: {e}", err=True)
+                sys.exit(2)
+            if problem:
+                click.echo(f"warning: {problem}", err=True)
+                sys.exit(1)
+
+        run.__doc__ = body.__doc__
+        for option in reversed(options):
+            run = option(run)
+        return main.command(name=name)(run)
+
+    return register
+
+
+_INPUT_OPTIONS = (
+    click.option("--input", required=True, type=click.Path(exists=True)),
+    click.option("--format", default="long-csv", type=click.Choice(FORMATS)),
+)
+_FIT_OPTIONS = (
+    click.option("--seed", default=0, type=int),
+    click.option("--tol", default=1e-8, type=float),
+    click.option("--max-iter", default=200, type=int),
+)
+_OUTPUT = click.option("--output", required=True, type=click.Path())
+_U_MODE = click.option("--u-mode", default="sphere",
+                       type=click.Choice(["sphere", "positive", "constant"]))
+
+
+@_command(
+    "decompose",
+    *_INPUT_OPTIONS,
+    click.option("--ranks", default="1", help="Comma-separated factor ranks, e.g. '3' or '3,2'."),
+    click.option("--scheme", default="hotelling", type=click.Choice(SCHEMES)),
+    *_FIT_OPTIONS,
+    click.option("--init", default="stable", type=click.Choice(["stable", "random"])),
+    click.option("--eigen-scaled", is_flag=True, default=False),
+    click.option("--edge-threshold", default=None, type=float,
+                 help="If set, emit principal networks with |edges| below this zeroed."),
+    _OUTPUT,
+    click.option("--trace-csv", default=None, type=click.Path()),
+)
+def decompose(cfg: RunConfig):
     """Fit a multi-factor decomposition to a tensor read from disk."""
-    try:
-        cfg = RunConfig(
-            command="decompose", input=input_, format=fmt,
-            ranks=_parse_int_list(ranks, "--ranks"), scheme=scheme, seed=seed,
-            tol=tol, max_iter=max_iter, init=init, eigen_scaled=eigen_scaled,
-            edge_threshold=edge_threshold, output=output, trace_csv=trace_csv,
-        )
-        cfg.validate()
-        X = load_tensor(input_, fmt)
-        opts = FitOptions(max_iter=max_iter, tol=tol, init=init, seed=seed,
-                          eigen_scaled=eigen_scaled)
-        with warnings.catch_warnings(record=True):
-            warnings.simplefilter("always")
-            dec = fit_multi(X, cfg.ranks, scheme, opts)
-        results = {
-            "p": X.p,
-            "T": X.T,
-            "scheme": scheme,
-            "factors": [factor_to_dict(f, X.T) for f in dec.factors],
-            "diagnostics": [_diag_dict(d) for d in dec.diagnostics],
-            "residual_norms": [float(x) for x in dec.residual_norms],
-            "cpve": [float(x) for x in dec.cpve],
-            "residual_ratios": [float(x) for x in dec.residual_ratios],
-        }
-        if edge_threshold is not None:
-            results["principal_networks"] = [
-                _thresholded_network(f, edge_threshold) for f in dec.factors
-            ]
-        write_json(output, _payload(cfg, results))
-        if trace_csv:
-            with open(trace_csv, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["factor", "iteration", "objective", "u_change"])
-                for k, diag in enumerate(dec.diagnostics):
-                    for i, (obj, du) in enumerate(zip(diag.objective, diag.u_change)):
-                        writer.writerow([k, i + 1, repr(obj), repr(du)])
-        if not all(d.converged for d in dec.diagnostics):
-            click.echo("warning: at least one factor did not converge", err=True)
-            sys.exit(1)
-    except SSTPCAError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
+    X = load_tensor(cfg.input, cfg.format)
+    opts = FitOptions(max_iter=cfg.max_iter, tol=cfg.tol, init=cfg.init, seed=cfg.seed,
+                      eigen_scaled=cfg.eigen_scaled)
+    dec = fit_multi(X, cfg.ranks, cfg.scheme, opts)
+    results = {
+        "p": X.p,
+        "T": X.T,
+        "scheme": cfg.scheme,
+        "factors": [factor_to_dict(f, X.T) for f in dec.factors],
+        "diagnostics": [_diag_dict(d) for d in dec.diagnostics],
+        "residual_norms": [float(x) for x in dec.residual_norms],
+        "cpve": [float(x) for x in dec.cpve],
+        "residual_ratios": [float(x) for x in dec.residual_ratios],
+    }
+    if cfg.edge_threshold is not None:
+        results["principal_networks"] = [
+            _thresholded_network(f, cfg.edge_threshold) for f in dec.factors
+        ]
+    _write_csv(cfg.trace_csv, ["factor", "iteration", "objective", "u_change"], (
+        [k, i + 1, repr(obj), repr(du)]
+        for k, diag in enumerate(dec.diagnostics)
+        for i, (obj, du) in enumerate(zip(diag.objective, diag.u_change))
+    ))
+    converged = all(d.converged for d in dec.diagnostics)
+    return results, None if converged else "at least one factor did not converge"
 
 
-@main.command()
-@click.option("--input", "input_", required=True, type=click.Path(exists=True))
-@click.option("--format", "fmt", default="long-csv", type=click.Choice(FORMATS))
-@click.option("--rank", default=1, type=int)
-@click.option("--seed", default=0, type=int)
-@click.option("--tol", default=1e-8, type=float)
-@click.option("--max-iter", default=200, type=int)
-@click.option("--edge-threshold", default=None, type=float)
-@click.option("--output", required=True, type=click.Path())
-@click.option("--cusum-csv", default=None, type=click.Path())
-def changepoint(input_, fmt, rank, seed, tol, max_iter, edge_threshold, output, cusum_csv):
+@_command(
+    "changepoint",
+    *_INPUT_OPTIONS,
+    click.option("--rank", default=1, type=int),
+    *_FIT_OPTIONS,
+    click.option("--edge-threshold", default=None, type=float),
+    _OUTPUT,
+    click.option("--cusum-csv", default=None, type=click.Path()),
+)
+def changepoint(cfg: RunConfig):
     """Locate the most likely mean shift in a network series."""
-    try:
-        cfg = RunConfig(
-            command="changepoint", input=input_, format=fmt, rank=rank, seed=seed,
-            tol=tol, max_iter=max_iter, edge_threshold=edge_threshold,
-            output=output, cusum_csv=cusum_csv,
-        )
-        cfg.validate()
-        X = load_tensor(input_, fmt)
-        opts = FitOptions(max_iter=max_iter, tol=tol, init="stable", seed=seed)
-        with warnings.catch_warnings(record=True):
-            warnings.simplefilter("always")
-            res = detect_changepoint(X, rank, opts)
-        results = {
-            "p": X.p,
-            "T": X.T,
-            "rank": rank,
-            "tau_hat": res.tau_hat,
-            "score": res.score,
-            "u_hat": [float(x) for x in res.u_hat],
-            "factor": factor_to_dict(res.factor, X.T - 1),
-            "diagnostics": _diag_dict(res.diagnostics),
-        }
-        if edge_threshold is not None:
-            results["principal_network"] = _thresholded_network(res.factor, edge_threshold)
-        write_json(output, _payload(cfg, results))
-        if cusum_csv:
-            with open(cusum_csv, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["tau", "u_hat"])
-                for t, val in enumerate(res.u_hat, start=1):
-                    writer.writerow([t, repr(float(val))])
-        if not res.diagnostics.converged:
-            click.echo("warning: fit did not converge", err=True)
-            sys.exit(1)
-    except SSTPCAError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
+    X = load_tensor(cfg.input, cfg.format)
+    opts = FitOptions(max_iter=cfg.max_iter, tol=cfg.tol, init="stable", seed=cfg.seed)
+    res = detect_changepoint(X, cfg.rank, opts)
+    results = {
+        "p": X.p,
+        "T": X.T,
+        "rank": cfg.rank,
+        "tau_hat": res.tau_hat,
+        "score": res.score,
+        "u_hat": [float(x) for x in res.u_hat],
+        "factor": factor_to_dict(res.factor, X.T - 1),
+        "diagnostics": _diag_dict(res.diagnostics),
+    }
+    if cfg.edge_threshold is not None:
+        results["principal_network"] = _thresholded_network(res.factor, cfg.edge_threshold)
+    _write_csv(cfg.cusum_csv, ["tau", "u_hat"],
+               ([t, repr(float(val))] for t, val in enumerate(res.u_hat, start=1)))
+    return results, None if res.diagnostics.converged else "fit did not converge"
 
 
 def _simulate_spike(cfg: RunConfig) -> dict:
@@ -338,19 +371,14 @@ def _simulate_fig3(cfg: RunConfig) -> dict:
             u0 = random_unit(cfg.T, rng, positive=True)
             opts = FitOptions(rank=r, max_iter=cfg.max_iter, tol=cfg.tol,
                               init=u0, track_iterates=True)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                factor, diag = fit_single_factor(X, opts)
+            factor, diag = fit_single_factor(X, opts)
             _, final_armse = procrustes_aligned_rmse(factor.V, truth.V_star)
             final_armses.append(final_armse)
-            hit_by_8 = False
             for k, (u_k, V_k) in enumerate(zip(diag.u_trace, diag.V_trace)):
                 _, armse_k = procrustes_aligned_rmse(V_k, truth.V_star)
                 u_err_k = float(sign_aligned_error(u_k, truth.u_star) / np.sqrt(cfg.T))
                 rows.append([r, s, k + 1, repr(diag.objective[k]), repr(armse_k), repr(u_err_k)])
-                if k < 8 and armse_k <= 1.05 * final_armse + 1e-15:
-                    hit_by_8 = True
-            stat_by_8 += hit_by_8
+            stat_by_8 += _stat_iteration(diag, truth.V_star, final_armse) <= 8
             comp_ge_15 += diag.iterations >= 15
         summary[str(r)] = {
             "d": d,
@@ -358,132 +386,97 @@ def _simulate_fig3(cfg: RunConfig) -> dict:
             "frac_comp_ge_15": comp_ge_15 / cfg.seeds,
             "mean_final_armse": float(np.mean(final_armses)),
         }
-    if cfg.csv_out:
-        with open(cfg.csv_out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "seed", "iteration", "objective", "armse", "u_err"])
-            writer.writerows(rows)
+    _write_csv(cfg.csv_out, ["r", "seed", "iteration", "objective", "armse", "u_err"], rows)
     return {"per_rank": summary, "trace_csv": cfg.csv_out, "seeds": cfg.seeds}
 
 
-@main.command()
-@click.option("--preset", required=True, type=click.Choice(["spike", "shift", "fig3"]))
-@click.option("--p", default=40, type=int)
-@click.option("--t", "T", default=20, type=int)
-@click.option("--r", default=1, type=int)
-@click.option("--r-list", default="1,5", help="Ranks for the fig3 preset.")
-@click.option("--d", default=3.0, type=float)
-@click.option("--sigma", default=1.0, type=float)
-@click.option("--tau", default=None, type=int, help="True shift index for the shift preset.")
-@click.option("--u-mode", default="sphere", type=click.Choice(["sphere", "positive", "constant"]))
-@click.option("--seeds", default=20, type=int, help="Replicates for the fig3 preset.")
-@click.option("--seed", default=0, type=int)
-@click.option("--tol", default=1e-8, type=float)
-@click.option("--max-iter", default=200, type=int)
-@click.option("--data-out", default=None, type=click.Path(), help="Where to write the long-csv tensor.")
-@click.option("--csv", "csv_out", default=None, type=click.Path())
-@click.option("--output", required=True, type=click.Path())
-def simulate(preset, p, T, r, r_list, d, sigma, tau, u_mode, seeds, seed, tol,
-             max_iter, data_out, csv_out, output):
+_PRESETS = {"spike": _simulate_spike, "shift": _simulate_shift, "fig3": _simulate_fig3}
+
+
+@_command(
+    "simulate",
+    click.option("--preset", required=True, type=click.Choice(list(_PRESETS))),
+    click.option("--p", default=40, type=int),
+    click.option("--t", "T", default=20, type=int),
+    click.option("--r", default=1, type=int),
+    click.option("--r-list", default="1,5", help="Ranks for the fig3 preset."),
+    click.option("--d", default=3.0, type=float),
+    click.option("--sigma", default=1.0, type=float),
+    click.option("--tau", default=None, type=int, help="True shift index for the shift preset."),
+    _U_MODE,
+    click.option("--seeds", default=20, type=int, help="Replicates for the fig3 preset."),
+    *_FIT_OPTIONS,
+    click.option("--data-out", default=None, type=click.Path(),
+                 help="Where to write the long-csv tensor."),
+    click.option("--csv", "csv_out", default=None, type=click.Path()),
+    _OUTPUT,
+)
+def simulate(cfg: RunConfig):
     """Generate synthetic instances or convergence-trace experiments."""
-    try:
-        cfg = RunConfig(
-            command="simulate", preset=preset, p=p, T=T, r=r,
-            r_list=_parse_int_list(r_list, "--r-list"), d=d, sigma=sigma, tau=tau,
-            u_mode=u_mode, seeds=seeds, seed=seed, tol=tol, max_iter=max_iter,
-            data_out=data_out, csv_out=csv_out, output=output,
-        )
-        cfg.validate()
-        if preset == "spike":
-            results = _simulate_spike(cfg)
-        elif preset == "shift":
-            results = _simulate_shift(cfg)
-        else:
-            results = _simulate_fig3(cfg)
-        write_json(output, _payload(cfg, results))
-    except SSTPCAError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
+    return _PRESETS[cfg.preset](cfg), None
 
 
-@main.command()
-@click.option("--p-list", default="20,40", help="Comma-separated node counts.")
-@click.option("--t", "T", default=20, type=int)
-@click.option("--r", default=1, type=int)
-@click.option("--d-list", default="8,16", help="Comma-separated signal strengths.")
-@click.option("--sigma", default=1.0, type=float)
-@click.option("--u-mode", default="sphere", type=click.Choice(["sphere", "positive", "constant"]))
-@click.option("--init", default="stable", type=click.Choice(["stable", "random", "oracle"]))
-@click.option("--reps", default=10, type=int)
-@click.option("--seed", default=0, type=int)
-@click.option("--threads", default=None, type=int)
-@click.option("--csv", "csv_out", default=None, type=click.Path())
-@click.option("--output", required=True, type=click.Path())
-def benchmark(p_list, T, r, d_list, sigma, u_mode, init, reps, seed, threads, csv_out, output):
+@_command(
+    "benchmark",
+    click.option("--p-list", default="20,40", help="Comma-separated node counts."),
+    click.option("--t", "T", default=20, type=int),
+    click.option("--r", default=1, type=int),
+    click.option("--d-list", default="8,16", help="Comma-separated signal strengths."),
+    click.option("--sigma", default=1.0, type=float),
+    _U_MODE,
+    click.option("--init", default="stable", type=click.Choice(["stable", "random", "oracle"])),
+    click.option("--reps", default=10, type=int),
+    click.option("--seed", default=0, type=int),
+    click.option("--threads", default=None, type=int),
+    click.option("--csv", "csv_out", default=None, type=click.Path()),
+    _OUTPUT,
+)
+def benchmark(cfg: RunConfig, threads):
     """Recovery-error sweep over a (p, d) grid of spiked instances."""
-    try:
-        cfg = RunConfig(
-            command="benchmark", p_list=_parse_int_list(p_list, "--p-list"), T=T, r=r,
-            d_list=_parse_float_list(d_list, "--d-list"), sigma=sigma, u_mode=u_mode,
-            init=init, reps=reps, seed=seed, csv_out=csv_out, output=output,
-        )
-        cfg.validate()
-        cells = [
-            SweepCell(p=pp, T=T, r=r, d=dd, sigma=sigma, u_mode=u_mode, init=init)
-            for pp in cfg.p_list
-            for dd in cfg.d_list
-        ]
-        results = rate_sweep(cells, reps=reps, seed=seed, n_threads=resolve_threads(threads))
-        if csv_out:
-            write_sweep_csv(results, csv_out)
-        write_json(output, _payload(cfg, {"rows": sweep_rows(results)}))
-    except SSTPCAError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
+    cells = [
+        SweepCell(p=pp, T=cfg.T, r=cfg.r, d=dd, sigma=cfg.sigma, u_mode=cfg.u_mode, init=cfg.init)
+        for pp in cfg.p_list
+        for dd in cfg.d_list
+    ]
+    results = rate_sweep(cells, reps=cfg.reps, seed=cfg.seed, n_threads=resolve_threads(threads))
+    if cfg.csv_out:
+        write_sweep_csv(results, cfg.csv_out)
+    return {"rows": sweep_rows(results)}, None
 
 
-@main.command(name="rank-select")
-@click.option("--input", "input_", required=True, type=click.Path(exists=True))
-@click.option("--format", "fmt", default="long-csv", type=click.Choice(FORMATS))
-@click.option("--r-max", default=5, type=int)
-@click.option("--k-max", default=3, type=int)
-@click.option("--scheme", default="hotelling", type=click.Choice(SCHEMES))
-@click.option("--seed", default=0, type=int)
-@click.option("--tol", default=1e-8, type=float)
-@click.option("--max-iter", default=200, type=int)
-@click.option("--output", required=True, type=click.Path())
-def rank_select(input_, fmt, r_max, k_max, scheme, seed, tol, max_iter, output):
+def _finite(x):
+    # RSS can be exactly zero on noiseless data; keep the JSON strict.
+    return float(x) if np.isfinite(x) else None
+
+
+@_command(
+    "rank-select",
+    *_INPUT_OPTIONS,
+    click.option("--r-max", default=5, type=int),
+    click.option("--k-max", default=3, type=int),
+    click.option("--scheme", default="hotelling", type=click.Choice(SCHEMES)),
+    *_FIT_OPTIONS,
+    _OUTPUT,
+)
+def rank_select(cfg: RunConfig):
     """Choose factor ranks greedily by BIC."""
-    try:
-        cfg = RunConfig(
-            command="rank-select", input=input_, format=fmt, r_max=r_max, k_max=k_max,
-            scheme=scheme, seed=seed, tol=tol, max_iter=max_iter, output=output,
-        )
-        cfg.validate()
-        X = load_tensor(input_, fmt)
-        opts = FitOptions(max_iter=max_iter, tol=tol, init="stable", seed=seed)
-        ranks, steps = rank_select_bic_trace(X, r_max, k_max, opts, scheme)
-        def _finite(x):
-            # RSS can be exactly zero on noiseless data; keep the JSON strict.
-            return float(x) if np.isfinite(x) else None
-
-        results = {
-            "p": X.p,
-            "T": X.T,
-            "ranks": ranks,
-            "steps": [
-                {
-                    "null_bic": _finite(step.null_bic),
-                    "candidates": [[r, _finite(bic)] for r, bic in step.candidates],
-                    "chosen_r": step.chosen_r,
-                }
-                for step in steps
-            ],
-        }
-        write_json(output, _payload(cfg, results))
-    except SSTPCAError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(2)
+    X = load_tensor(cfg.input, cfg.format)
+    opts = FitOptions(max_iter=cfg.max_iter, tol=cfg.tol, init="stable", seed=cfg.seed)
+    ranks, steps = rank_select_bic_trace(X, cfg.r_max, cfg.k_max, opts, cfg.scheme)
+    results = {
+        "p": X.p,
+        "T": X.T,
+        "ranks": ranks,
+        "steps": [
+            {
+                "null_bic": _finite(step.null_bic),
+                "candidates": [[r, _finite(bic)] for r, bic in step.candidates],
+                "chosen_r": step.chosen_r,
+            }
+            for step in steps
+        ],
+    }
+    return results, None
 
 
 if __name__ == "__main__":

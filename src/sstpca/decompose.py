@@ -23,7 +23,7 @@ from .errors import (
     SingularSmoother,
     ZeroVector,
 )
-from .linalg import normalize, sin_theta_frob
+from .linalg import eigen_block, normalize, sin_theta_frob, sym
 from .tensor import SemiSymTensor, frob_norm, trace_product, ttv3
 
 DEGENERATE_OPNORM_TOL = 1e-14
@@ -98,7 +98,9 @@ def init_u(init, T: int, rng: "np.random.Generator | None" = None) -> np.ndarray
     return u0.copy()
 
 
-def _best_eigen_block(M: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+def _best_eigen_block(
+    M: np.ndarray, r: int, eigen_scaled: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors maximizing |trace(V' M V)| over orthonormal V.
 
     Takes whichever of the top-r or bottom-r algebraic eigenvalues has the
@@ -106,23 +108,21 @@ def _best_eigen_block(M: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     sign-definite targets this coincides with magnitude ordering, but it
     avoids the +/- cancellation that magnitude ordering suffers on
     indefinite targets such as projector differences. Columns come out in
-    descending |eigenvalue| order with the usual sign convention.
+    descending |eigenvalue| order with the usual sign convention. In the
+    eigen-scaled mode the columns are multiplied by sqrt(|lam|), dropping
+    orthonormality.
     """
-    M = (M + M.T) / 2.0
+    M = sym(M)
     if np.abs(M).max() < DEGENERATE_OPNORM_TOL:
         raise DegenerateIterate("weighted slice sum is numerically zero")
-    w, Q = np.linalg.eigh(M)
-    n = w.shape[0]
-    top = np.arange(n - r, n)
-    bot = np.arange(r)
-    idx = top if w[top].sum() >= -w[bot].sum() else bot
-    order = idx[np.argsort(-np.abs(w[idx]), kind="stable")]
-    lam = w[order]
-    V = Q[:, order].copy()
-    pivot = np.argmax(np.abs(V), axis=0)
-    signs = np.sign(V[pivot, np.arange(r)])
-    signs[signs == 0] = 1.0
-    V *= signs
+
+    def top_or_bottom(w):
+        top, bot = np.arange(w.shape[0] - r, w.shape[0]), np.arange(r)
+        return top if w[top].sum() >= -w[bot].sum() else bot
+
+    V, lam = eigen_block(M, top_or_bottom)
+    if eigen_scaled:
+        V = V * np.sqrt(np.abs(lam))[None, :]
     return V, lam
 
 
@@ -136,10 +136,7 @@ def v_update(X, u: np.ndarray, r: int, eigen_scaled: bool = False):
     M = ttv3(X, u)
     if M.shape[0] < r:
         raise DimensionMismatch(f"rank {r} exceeds p={M.shape[0]}")
-    V, lam = _best_eigen_block(M, r)
-    if eigen_scaled:
-        V = V * np.sqrt(np.abs(lam))[None, :]
-    return V, lam
+    return _best_eigen_block(M, r, eigen_scaled)
 
 
 def _smoothed_direction(x: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -227,9 +224,7 @@ def fit_single_factor(
         M = ttv3(X, u)
         if E_V is not None and np.any(E_V):
             M = M + E_V
-        V, lam = _best_eigen_block(M, opts.rank)
-        if opts.eigen_scaled:
-            V = V * np.sqrt(np.abs(lam))[None, :]
+        V, _ = _best_eigen_block(M, opts.rank, opts.eigen_scaled)
 
         x = trace_product(X, V)
         target = x + e_u if (e_u is not None and np.any(e_u)) else x

@@ -21,6 +21,7 @@ import numpy as np
 
 from .decompose import Factor, FitOptions, fit_single_factor
 from .errors import DimensionMismatch, SingularSchurBlock, SSTPCAError
+from .linalg import sym
 from .tensor import SemiSymTensor, frob_norm, new_from_slices, ttm, ttv3
 
 SCHEMES = ("hotelling", "projection", "schur")
@@ -77,12 +78,9 @@ def deflate(X: SemiSymTensor, f: Factor, scheme: str) -> SemiSymTensor:
     """Remove a fitted factor from X under the given scheme."""
     _check_factor_dims(X, f)
     if scheme == "hotelling":
-        W = f.d * (f.V @ f.V.T)
-        W = (W + W.T) / 2.0
-        out = X.data - W[:, :, None] * f.u[None, None, :]
+        out = X.data - f.reconstruct().data
     elif scheme == "projection":
-        P = np.eye(X.p) - f.V @ f.V.T
-        P = (P + P.T) / 2.0
+        P = sym(np.eye(X.p) - f.V @ f.V.T)
         Pu = np.eye(X.T) - np.outer(f.u, f.u)
         out = ttm(ttm(ttm(X, P, 1), P, 2), Pu, 3)
     elif scheme == "schur":

@@ -18,12 +18,35 @@ def is_orthonormal(V: np.ndarray, tol: float = STIEFEL_TOL) -> bool:
     return bool(np.abs(gram - np.eye(V.shape[1])).max() <= tol)
 
 
+def sym(A: np.ndarray) -> np.ndarray:
+    """Symmetric part (A + A') / 2; of every slice for a (p, p, T) stack."""
+    return (A + np.swapaxes(A, 0, 1)) / 2.0
+
+
+def eigen_block(A: np.ndarray, pick) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a symmetric matrix selected by `pick`.
+
+    `pick(w)` maps the ascending eigenvalues to the indices to keep; the
+    kept pairs come out in descending |lambda| order (stable on ties).
+    Sign convention: the largest-magnitude entry of each eigenvector is
+    positive (first such entry on exact ties), which makes the output
+    deterministic including degenerate spectra. The basis is C-contiguous.
+    """
+    w, Q = np.linalg.eigh(A)
+    idx = pick(w)
+    order = idx[np.argsort(-np.abs(w[idx]), kind="stable")]
+    V = Q[:, order].copy()
+    pivot = np.argmax(np.abs(V), axis=0)
+    signs = np.sign(V[pivot, np.arange(V.shape[1])])
+    signs[signs == 0] = 1.0
+    V *= signs
+    return V, w[order]
+
+
 def sym_eigen_top_r(A: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-r eigenpairs of a symmetric matrix, ordered by descending |lambda|.
 
-    Sign convention: the largest-magnitude entry of each eigenvector is
-    positive (first such entry on exact ties), which makes the output
-    deterministic including degenerate spectra.
+    Signs follow the convention of `eigen_block`.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -34,15 +57,7 @@ def sym_eigen_top_r(A: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     scale = max(float(np.abs(A).max()), 1e-300)
     if np.abs(A - A.T).max() > 1e-8 * scale:
         raise NotSymmetric("matrix is not symmetric within tolerance")
-    w, Q = np.linalg.eigh((A + A.T) / 2.0)
-    order = np.argsort(-np.abs(w), kind="stable")[:r]
-    lam = w[order]
-    V = Q[:, order].copy()
-    pivot = np.argmax(np.abs(V), axis=0)
-    signs = np.sign(V[pivot, np.arange(r)])
-    signs[signs == 0] = 1.0
-    V *= signs
-    return V, lam
+    return eigen_block(sym(A), lambda w: np.argsort(-np.abs(w), kind="stable")[:r])
 
 
 def normalize(x: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from .linalg import (
     random_stiefel,
     random_unit,
     sign_aligned_error,
+    sym,
 )
 from .tensor import SemiSymTensor, frob_norm, rank1_outer
 
@@ -99,20 +100,25 @@ def sbm_expected_adjacency(p: int, n_blocks: int, p_in: float, q_out: float) -> 
     return W
 
 
+def _bernoulli_slices(probs: np.ndarray, T: int, rng: np.random.Generator) -> SemiSymTensor:
+    """T independent undirected graphs; edge (i, j) appears with probs[i, j] clipped to [0, 1]."""
+    p = probs.shape[0]
+    iu = np.triu_indices(p, k=1)
+    edge_probs = np.clip(probs[iu], 0.0, 1.0)
+    out = np.zeros((p, p, T))
+    draws = (rng.random(size=(T, iu[0].size)) < edge_probs[None, :]).astype(np.float64)
+    out[iu[0], iu[1], :] = draws.T
+    out[iu[1], iu[0], :] = draws.T
+    return SemiSymTensor(out, check=False)
+
+
 def sbm_series(
     p: int, T: int, n_blocks: int, p_in: float, q_out: float, rng: np.random.Generator
 ) -> SemiSymTensor:
     """T independent block-model adjacency slices."""
     if not (0.0 <= q_out <= p_in <= 1.0):
         raise InvalidProbability(f"need 0 <= q_out <= p_in <= 1, got p_in={p_in}, q_out={q_out}")
-    probs = sbm_expected_adjacency(p, n_blocks, p_in, q_out)
-    iu = np.triu_indices(p, k=1)
-    edge_probs = probs[iu]
-    out = np.zeros((p, p, T))
-    draws = (rng.random(size=(T, iu[0].size)) < edge_probs[None, :]).astype(np.float64)
-    out[iu[0], iu[1], :] = draws.T
-    out[iu[1], iu[0], :] = draws.T
-    return SemiSymTensor(out, check=False)
+    return _bernoulli_slices(sbm_expected_adjacency(p, n_blocks, p_in, q_out), T, rng)
 
 
 def dirichlet_latents(p: int, r: int, alpha: float, rng: np.random.Generator) -> np.ndarray:
@@ -126,15 +132,7 @@ def dirichlet_latents(p: int, r: int, alpha: float, rng: np.random.Generator) ->
 
 def rdpg_series_from_latents(latents: np.ndarray, T: int, rng: np.random.Generator) -> SemiSymTensor:
     """Dot-product graph slices with fixed latent positions."""
-    probs = latents @ latents.T
-    p = probs.shape[0]
-    iu = np.triu_indices(p, k=1)
-    edge_probs = np.clip(probs[iu], 0.0, 1.0)
-    out = np.zeros((p, p, T))
-    draws = (rng.random(size=(T, iu[0].size)) < edge_probs[None, :]).astype(np.float64)
-    out[iu[0], iu[1], :] = draws.T
-    out[iu[1], iu[0], :] = draws.T
-    return SemiSymTensor(out, check=False)
+    return _bernoulli_slices(latents @ latents.T, T, rng)
 
 
 def rdpg_dirichlet_series(
@@ -167,7 +165,7 @@ def fit_adversarial(
             raise DimensionMismatch(f"E_V must be {X_signal.p} x {X_signal.p}, got {E_V.shape}")
         if e_u.shape[0] != X_signal.T:
             raise DimensionMismatch(f"e_u must have length {X_signal.T}, got {e_u.shape[0]}")
-        E_V = (E_V + E_V.T) / 2.0
+        E_V = sym(E_V)
         opnorm = float(np.abs(np.linalg.eigvalsh(E_V)).max()) if np.any(E_V) else 0.0
         slack = 1.0 + 1e-12
         if opnorm > noise_budget * slack:
@@ -231,9 +229,7 @@ def _run_rep(cell: SweepCell, seed_seq, max_iter: int, tol: float):
     else:
         raise InvalidParameter(f"unknown init scheme {cell.init!r}")
     opts = FitOptions(rank=cell.r, max_iter=max_iter, tol=tol, init=init, track_iterates=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        factor, diag = fit_single_factor(X, opts)
+    factor, diag = fit_single_factor(X, opts)
     u_err = sign_aligned_error(factor.u, truth.u_star) / np.sqrt(cell.T)
     _, armse = procrustes_aligned_rmse(factor.V, truth.V_star)
     signal = rank1_outer(truth.d, truth.V_star, truth.u_star)
@@ -260,6 +256,8 @@ def rate_sweep(
 
     Deterministic for a fixed seed: each (cell, rep) pair gets its own
     spawned RNG stream and aggregation runs in fixed replicate order.
+    Fit warnings are silenced on the calling thread: warning filters are
+    process-wide, so worker threads must not enter catch_warnings.
     """
     cells = list(cells)
     if not cells or reps < 1:
@@ -268,9 +266,11 @@ def rate_sweep(
     results = []
     for cell, cell_seed in zip(cells, cell_seeds):
         rep_seeds = cell_seed.spawn(reps)
-        rows = ordered_map(
-            lambda s, c=cell: _run_rep(c, s, max_iter, tol), rep_seeds, n_threads
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows = ordered_map(
+                lambda s, c=cell: _run_rep(c, s, max_iter, tol), rep_seeds, n_threads
+            )
         arr = np.asarray(rows)
         results.append(
             SweepResult(

@@ -17,6 +17,7 @@ from .errors import (
     LengthNotTriangular,
     NonFiniteEntry,
 )
+from .linalg import random_stiefel, sym
 
 SYMMETRY_REL_TOL = 1e-8
 SYMMETRY_ABS_FLOOR = 1e-12
@@ -44,7 +45,7 @@ class SemiSymTensor:
                     f"max asymmetry {asym:.3e} exceeds tolerance {tol:.3e}"
                 )
         # Symmetrize so downstream eigensolvers see exactly symmetric slices.
-        data = (data + data.transpose(1, 0, 2)) / 2.0
+        data = sym(data)
         data.setflags(write=False)
         self.data = data
 
@@ -136,9 +137,7 @@ def trace_product(X, V: np.ndarray) -> np.ndarray:
         V = V[:, None]
     if V.shape[0] != data.shape[0]:
         raise DimensionMismatch(f"V has {V.shape[0]} rows, tensor has p={data.shape[0]}")
-    W = V @ V.T
-    W = (W + W.T) / 2.0
-    return np.einsum("ijt,ij->t", data, W)
+    return np.einsum("ijt,ij->t", data, sym(V @ V.T))
 
 
 def rank1_outer(d: float, V: np.ndarray, u: np.ndarray) -> SemiSymTensor:
@@ -149,8 +148,7 @@ def rank1_outer(d: float, V: np.ndarray, u: np.ndarray) -> SemiSymTensor:
     if V.ndim == 1:
         V = V[:, None]
     u = np.asarray(u, dtype=np.float64).ravel()
-    W = d * (V @ V.T)
-    W = (W + W.T) / 2.0
+    W = sym(d * (V @ V.T))
     return SemiSymTensor(W[:, :, None] * u[None, None, :], check=False)
 
 
@@ -225,9 +223,7 @@ def ttm(X, A: np.ndarray, mode: int) -> np.ndarray:
 def slice_opnorms(X) -> np.ndarray:
     """Largest-magnitude eigenvalue of every slice."""
     data = _as_data(X)
-    stacked = np.moveaxis(data, 2, 0)
-    stacked = (stacked + stacked.transpose(0, 2, 1)) / 2.0
-    return np.abs(np.linalg.eigvalsh(stacked)).max(axis=1)
+    return np.abs(np.linalg.eigvalsh(np.moveaxis(sym(data), 2, 0))).max(axis=1)
 
 
 def ropnorm_upper_bound(X, r: int) -> float:
@@ -246,8 +242,6 @@ def ropnorm_sampled_lower(X, r: int, n_samples: int, rng: np.random.Generator) -
     is closed-form (the normalized trace-product), so the sampled value is
     the trace-product 2-norm. Always at most the deterministic upper bound.
     """
-    from .linalg import random_stiefel
-
     data = _as_data(X)
     p = data.shape[0]
     if not 1 <= r <= p:

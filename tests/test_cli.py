@@ -37,6 +37,41 @@ def spike_csv(tmp_path, runner):
     return data, truth
 
 
+@pytest.fixture()
+def shift_csv(tmp_path, runner):
+    data = tmp_path / "shift.csv"
+    run_ok(
+        runner,
+        ["simulate", "--preset", "shift", "--p", "14", "--t", "16", "--r", "1",
+         "--d", "10", "--sigma", "0.5", "--seed", "5",
+         "--data-out", str(data), "--output", str(tmp_path / "shift.json")],
+    )
+    return data
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["simulate", "--preset", "spike", "--sigma", "-1"], 2),
+        (["benchmark", "--p-list", "a,b"], 2),
+        (["rank-select", "--input", "{spike}", "--r-max", "0"], 2),
+        (["changepoint", "--input", "{shift}", "--rank", "2", "--max-iter", "2"], 1),
+    ],
+    ids=["simulate", "benchmark", "rank-select", "changepoint"],
+)
+def test_exit_code_contract(tmp_path, runner, spike_csv, shift_csv, args, code):
+    """Input errors exit 2 with no artifact; non-convergence exits 1 after writing it."""
+    out = tmp_path / "out.json"
+    inputs = {"{spike}": str(spike_csv[0]), "{shift}": str(shift_csv)}
+    args = [inputs.get(a, a) for a in args] + ["--output", str(out)]
+    result = runner.invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == code, result.output
+    assert result.stderr.startswith("error: " if code == 2 else "warning: ")
+    assert out.exists() == (code == 1)
+    if code == 1:
+        assert json.loads(out.read_text())["command"] == args[0]
+
+
 class TestDecomposeCommand:
     def test_writes_results_and_roundtrips(self, tmp_path, runner, spike_csv):
         data, truth = spike_csv

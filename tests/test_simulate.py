@@ -235,3 +235,16 @@ class TestRateSweep:
         assert lines[0] == "p,T,r,d,sigma,u_mode,init,reps,metric,mean,sd"
         metrics = {line.split(",")[8] for line in lines[1:]}
         assert {"u_err", "armse", "recon_err", "iters_to_stat"} <= metrics
+
+    def test_threaded_sweeps_leave_warning_state_alone(self):
+        # Every rep hits the iteration cap and warns. Entering catch_warnings
+        # on pool threads restores the process-wide filters out of order, so
+        # a warning can leak to the caller and the filters can stay changed.
+        cells = [SweepCell(p=6, T=5, r=1, d=2.0, sigma=1.0)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            before = list(warnings.filters)
+            for seed in range(40):
+                rate_sweep(cells, reps=16, seed=seed, max_iter=2, n_threads=2)
+                assert warnings.filters == before, f"filters changed by sweep {seed}"
+        assert [str(w.message) for w in caught] == []
