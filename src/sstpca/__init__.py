@@ -64,57 +64,3 @@ from .tensor import (
     unuvec,
     uvec,
 )
-
-__all__ = [
-    "__version__",
-    "SemiSymTensor",
-    "UpperTriMatrix",
-    "Factor",
-    "FitOptions",
-    "FitDiagnostics",
-    "Decomposition",
-    "OrthogonalityReport",
-    "ChangepointResult",
-    "SpikeTruth",
-    "SweepCell",
-    "new_from_slices",
-    "ttv3",
-    "trace_product",
-    "rank1_outer",
-    "matricize_upper",
-    "uvec",
-    "unuvec",
-    "frob_inner",
-    "frob_norm",
-    "ttm",
-    "ropnorm_upper_bound",
-    "ropnorm_sampled_lower",
-    "sym_eigen_top_r",
-    "normalize",
-    "principal_angles",
-    "sin_theta_frob",
-    "subspace_angle",
-    "procrustes_aligned_rmse",
-    "sign_aligned_error",
-    "random_stiefel",
-    "random_unit",
-    "fit_single_factor",
-    "v_update",
-    "u_update",
-    "u_update_smoothed",
-    "init_u",
-    "deflate",
-    "fit_multi",
-    "orthogonality_report",
-    "cusum_tensor",
-    "detect_changepoint",
-    "spike_model",
-    "sbm_series",
-    "rdpg_dirichlet_series",
-    "fit_adversarial",
-    "rate_sweep",
-    "matricized_pca",
-    "truncated_matricized_pca",
-    "hosvd",
-    "rank_select_bic",
-]

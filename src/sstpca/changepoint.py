@@ -26,29 +26,22 @@ class ChangepointResult:
     diagnostics: FitDiagnostics = None
 
 
-def cusum_tensor(X: SemiSymTensor, as_printed: bool = False) -> SemiSymTensor:
+def cusum_tensor(X: SemiSymTensor) -> SemiSymTensor:
     """Standardized cumulative-sum tensor, shape (p, p, T-1).
 
-    Default form: C_t = sqrt(T / (t (T - t))) * (S_t - (t / T) S_T) with
-    S_t the prefix sum over slices, which vanishes on constant series.
-    `as_printed=True` instead weights the prefix sum, C_t proportional to
-    (t / T) S_t - S_T; it is kept only for auditability since it fails the
-    constant-series sanity check.
+    C_t = sqrt(T / (t (T - t))) * (S_t - (t / T) S_T) with S_t the prefix
+    sum over slices, which vanishes on constant series.
     """
     if X.T < 2:
         raise TooFewSlices(f"need at least 2 slices, got T={X.T}")
     T = X.T
     t = np.arange(1, T, dtype=np.float64)
     w = np.sqrt(T / (t * (T - t)))
-    if as_printed:
-        prefix = np.cumsum(X.data, axis=2)
-        inner = (t / T)[None, None, :] * prefix[:, :, :-1] - prefix[:, :, -1:]
-    else:
-        # Centering on the first slice leaves the value unchanged but makes
-        # the cancellation on constant series exact in floating point.
-        centered = X.data - X.data[:, :, :1]
-        prefix = np.cumsum(centered, axis=2)
-        inner = prefix[:, :, :-1] - (t / T)[None, None, :] * prefix[:, :, -1:]
+    # Centering on the first slice leaves the value unchanged but makes
+    # the cancellation on constant series exact in floating point.
+    centered = X.data - X.data[:, :, :1]
+    prefix = np.cumsum(centered, axis=2)
+    inner = prefix[:, :, :-1] - (t / T)[None, None, :] * prefix[:, :, -1:]
     return SemiSymTensor(w[None, None, :] * inner, check=False)
 
 

@@ -13,18 +13,18 @@ codes: 0 success, 2 input error, 1 flagged non-convergence. Only
 ``decompose`` and ``changepoint`` report non-convergence; the other
 commands exit 0 even when a fit inside them hits the iteration cap.
 
-The worker thread count comes from ``--threads`` or the SSTPCA_THREADS
-environment variable and is deliberately not part of the echoed config:
-it never affects results.
+The ``config`` block of each artifact echoes exactly the options of the
+command that ran, plus ``command``. The worker thread count comes from
+``--threads`` or the SSTPCA_THREADS environment variable and is
+deliberately not echoed: it never affects results.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import sys
 import warnings
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import click
 import numpy as np
@@ -60,82 +60,12 @@ from .tensor import SemiSymTensor
 _LIST_CASTS = {"ranks": int, "p_list": int, "r_list": int, "d_list": float}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Serializable record of one command invocation.
-
-    Round-trips losslessly through its JSON form; echoed verbatim into
-    every results file.
-    """
-
-    command: str
-    input: "str | None" = None
-    format: "str | None" = None
-    ranks: "tuple | None" = None
-    scheme: str = "hotelling"
-    seed: int = 0
-    tol: float = 1e-8
-    max_iter: int = 200
-    init: str = "stable"
-    eigen_scaled: bool = False
-    edge_threshold: "float | None" = None
-    output: "str | None" = None
-    trace_csv: "str | None" = None
-    cusum_csv: "str | None" = None
-    csv_out: "str | None" = None
-    data_out: "str | None" = None
-    rank: "int | None" = None
-    r_max: "int | None" = None
-    k_max: "int | None" = None
-    preset: "str | None" = None
-    p: "int | None" = None
-    T: "int | None" = None
-    r: "int | None" = None
-    d: "float | None" = None
-    sigma: "float | None" = None
-    tau: "int | None" = None
-    u_mode: "str | None" = None
-    seeds: "int | None" = None
-    r_list: "tuple | None" = None
-    p_list: "tuple | None" = None
-    d_list: "tuple | None" = None
-    reps: "int | None" = None
-
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        for key in _LIST_CASTS:
-            if out[key] is not None:
-                out[key] = list(out[key])
-        return out
-
-    @classmethod
-    def from_dict(cls, dct: dict) -> "RunConfig":
-        kwargs = dict(dct)
-        for key, cast in _LIST_CASTS.items():
-            if kwargs.get(key) is not None:
-                kwargs[key] = tuple(cast(x) for x in kwargs[key])
-        return cls(**kwargs)
-
-    def validate(self) -> None:
-        if self.format is not None and self.format not in FORMATS:
-            raise ParseError(f"unknown format {self.format!r}")
-        if self.scheme not in SCHEMES:
-            raise ParseError(f"unknown scheme {self.scheme!r}")
-        if self.ranks is not None and any(r < 1 for r in self.ranks):
-            raise ParseError("ranks must be positive")
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ParseError("tol must be positive and max_iter at least 1")
-
-
-_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
-
-
-def _payload(cfg: RunConfig, results: dict) -> dict:
+def _payload(cfg: SimpleNamespace, results: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "library_version": __version__,
         "command": cfg.command,
-        "config": cfg.to_dict(),
+        "config": {k: v for k, v in vars(cfg).items() if k != "threads"},
         "seed": cfg.seed,
         "results": results,
     }
@@ -183,29 +113,33 @@ def main():
 
 
 def _command(name: str, *options):
-    """Register a subcommand that maps its options to one RunConfig.
+    """Register a subcommand whose config is its own click parameters.
 
-    The decorated body receives the validated config (plus any option that
-    is not a RunConfig field, such as --threads) and returns
-    ``(results, problem)``. The runner silences library warnings, writes
-    the canonical JSON, and owns the exit codes: 2 with the message on an
-    SSTPCAError, 1 after writing the results when ``problem`` is set.
+    The decorated body receives ``cfg``, a namespace of the command name
+    and its parsed options, and returns ``(results, problem)``. The runner
+    checks ranks and fit controls, silences library warnings, writes the
+    canonical JSON, and owns the exit codes: 2 with the message on an
+    SSTPCAError or on a path that cannot be written (CSV side products are
+    written before the JSON, so a failed CSV write leaves no JSON), 1 after
+    writing the results when ``problem`` is set.
     """
 
     def register(body):
         def run(**params):
-            extra = {k: params.pop(k) for k in list(params) if k not in _FIELDS}
             try:
                 for key in _LIST_CASTS:  # dict order: --p-list is reported before --d-list
                     if key in params:
                         params[key] = _parse_list(params[key], key)
-                cfg = RunConfig(command=name, **params)
-                cfg.validate()
+                if any(r < 1 for r in params.get("ranks", ())):
+                    raise ParseError("ranks must be positive")
+                if params.get("tol", 1.0) <= 0 or params.get("max_iter", 1) < 1:
+                    raise ParseError("tol must be positive and max_iter at least 1")
+                cfg = SimpleNamespace(command=name, **params)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    results, problem = body(cfg, **extra)
+                    results, problem = body(cfg)
                 write_json(cfg.output, _payload(cfg, results))
-            except SSTPCAError as e:
+            except (SSTPCAError, OSError) as e:
                 click.echo(f"error: {e}", err=True)
                 sys.exit(2)
             if problem:
@@ -247,7 +181,7 @@ _U_MODE = click.option("--u-mode", default="sphere",
     _OUTPUT,
     click.option("--trace-csv", default=None, type=click.Path()),
 )
-def decompose(cfg: RunConfig):
+def decompose(cfg: SimpleNamespace):
     """Fit a multi-factor decomposition to a tensor read from disk."""
     X = load_tensor(cfg.input, cfg.format)
     opts = FitOptions(max_iter=cfg.max_iter, tol=cfg.tol, init=cfg.init, seed=cfg.seed,
@@ -285,7 +219,7 @@ def decompose(cfg: RunConfig):
     _OUTPUT,
     click.option("--cusum-csv", default=None, type=click.Path()),
 )
-def changepoint(cfg: RunConfig):
+def changepoint(cfg: SimpleNamespace):
     """Locate the most likely mean shift in a network series."""
     X = load_tensor(cfg.input, cfg.format)
     opts = FitOptions(max_iter=cfg.max_iter, tol=cfg.tol, init="stable", seed=cfg.seed)
@@ -307,7 +241,7 @@ def changepoint(cfg: RunConfig):
     return results, None if res.diagnostics.converged else "fit did not converge"
 
 
-def _simulate_spike(cfg: RunConfig) -> dict:
+def _simulate_spike(cfg: SimpleNamespace) -> dict:
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     X, truth = spike_model(cfg.p, cfg.T, cfg.r, cfg.d, cfg.sigma, cfg.u_mode, rng)
     if cfg.data_out:
@@ -325,7 +259,7 @@ def _simulate_spike(cfg: RunConfig) -> dict:
     }
 
 
-def _simulate_shift(cfg: RunConfig) -> dict:
+def _simulate_shift(cfg: SimpleNamespace) -> dict:
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     tau = cfg.tau if cfg.tau is not None else cfg.T // 2
     V1 = random_stiefel(cfg.p, cfg.r, rng)
@@ -353,7 +287,7 @@ def _simulate_shift(cfg: RunConfig) -> dict:
     }
 
 
-def _simulate_fig3(cfg: RunConfig) -> dict:
+def _simulate_fig3(cfg: SimpleNamespace) -> dict:
     """Computational-vs-statistical convergence traces at low SNR."""
     rows = []
     summary = {}
@@ -411,7 +345,7 @@ _PRESETS = {"spike": _simulate_spike, "shift": _simulate_shift, "fig3": _simulat
     click.option("--csv", "csv_out", default=None, type=click.Path()),
     _OUTPUT,
 )
-def simulate(cfg: RunConfig):
+def simulate(cfg: SimpleNamespace):
     """Generate synthetic instances or convergence-trace experiments."""
     return _PRESETS[cfg.preset](cfg), None
 
@@ -431,14 +365,15 @@ def simulate(cfg: RunConfig):
     click.option("--csv", "csv_out", default=None, type=click.Path()),
     _OUTPUT,
 )
-def benchmark(cfg: RunConfig, threads):
+def benchmark(cfg: SimpleNamespace):
     """Recovery-error sweep over a (p, d) grid of spiked instances."""
     cells = [
         SweepCell(p=pp, T=cfg.T, r=cfg.r, d=dd, sigma=cfg.sigma, u_mode=cfg.u_mode, init=cfg.init)
         for pp in cfg.p_list
         for dd in cfg.d_list
     ]
-    results = rate_sweep(cells, reps=cfg.reps, seed=cfg.seed, n_threads=resolve_threads(threads))
+    results = rate_sweep(cells, reps=cfg.reps, seed=cfg.seed,
+                         n_threads=resolve_threads(cfg.threads))
     if cfg.csv_out:
         write_sweep_csv(results, cfg.csv_out)
     return {"rows": sweep_rows(results)}, None
@@ -458,7 +393,7 @@ def _finite(x):
     *_FIT_OPTIONS,
     _OUTPUT,
 )
-def rank_select(cfg: RunConfig):
+def rank_select(cfg: SimpleNamespace):
     """Choose factor ranks greedily by BIC."""
     X = load_tensor(cfg.input, cfg.format)
     opts = FitOptions(max_iter=cfg.max_iter, tol=cfg.tol, init="stable", seed=cfg.seed)

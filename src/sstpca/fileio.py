@@ -122,13 +122,12 @@ def load_tensor(path, fmt: str) -> SemiSymTensor:
     raise ParseError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
-def write_long_csv(X: SemiSymTensor, path, include_diagonal: bool = True) -> None:
-    """Write a tensor in long-csv form (upper triangle, 1-based indices)."""
+def write_long_csv(X: SemiSymTensor, path) -> None:
+    """Write a tensor in long-csv form (upper triangle with the diagonal, 1-based indices)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "i", "j", "w"])
-        k = 0 if include_diagonal else 1
-        iu = np.triu_indices(X.p, k=k)
+        iu = np.triu_indices(X.p)
         for t in range(X.T):
             s = X.slice(t)
             for a, b in zip(iu[0], iu[1]):

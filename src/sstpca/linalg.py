@@ -10,10 +10,14 @@ ZERO_NORM_TOL = 1e-14
 STIEFEL_TOL = 1e-8
 
 
+def _columns(V: np.ndarray) -> np.ndarray:
+    """V as a float64 matrix; a 1-D vector becomes one column."""
+    V = np.asarray(V, dtype=np.float64)
+    return V.reshape(len(V), -1)
+
+
 def is_orthonormal(V: np.ndarray, tol: float = STIEFEL_TOL) -> bool:
-    V = np.asarray(V)
-    if V.ndim == 1:
-        V = V[:, None]
+    V = _columns(V)
     gram = V.T @ V
     return bool(np.abs(gram - np.eye(V.shape[1])).max() <= tol)
 
@@ -70,12 +74,7 @@ def normalize(x: np.ndarray) -> np.ndarray:
 
 
 def _cross_singular_values(V1: np.ndarray, V2: np.ndarray) -> np.ndarray:
-    V1 = np.atleast_2d(np.asarray(V1, dtype=np.float64))
-    V2 = np.atleast_2d(np.asarray(V2, dtype=np.float64))
-    if V1.ndim == 1:
-        V1 = V1[:, None]
-    if V2.ndim == 1:
-        V2 = V2[:, None]
+    V1, V2 = _columns(V1), _columns(V2)
     if V1.shape != V2.shape:
         raise DimensionMismatch(f"shapes differ: {V1.shape} vs {V2.shape}")
     s = np.linalg.svd(V1.T @ V2, compute_uv=False)
@@ -104,12 +103,7 @@ def procrustes_aligned_rmse(V_hat: np.ndarray, V_star: np.ndarray) -> tuple[np.n
     Returns (O, min_O ||V_star - V_hat O||_F / sqrt(p r)). For single
     columns this reduces to the sign-aligned error.
     """
-    V_hat = np.asarray(V_hat, dtype=np.float64)
-    V_star = np.asarray(V_star, dtype=np.float64)
-    if V_hat.ndim == 1:
-        V_hat = V_hat[:, None]
-    if V_star.ndim == 1:
-        V_star = V_star[:, None]
+    V_hat, V_star = _columns(V_hat), _columns(V_star)
     if V_hat.shape != V_star.shape:
         raise DimensionMismatch(f"shapes differ: {V_hat.shape} vs {V_star.shape}")
     p, r = V_hat.shape

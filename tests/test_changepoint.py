@@ -68,11 +68,6 @@ class TestCusumTensor:
         argmax_t = np.argmax(mags, axis=2)
         assert np.all(argmax_t[diff_support] == tau - 1)
 
-    def test_printed_variant_nonzero_on_constant(self):
-        # kept only for audit: the as-printed form fails the sanity check
-        C = cusum_tensor(constant_series(), as_printed=True)
-        assert np.abs(C.data).max() > 1.0
-
     def test_too_few_slices(self):
         with pytest.raises(TooFewSlices):
             cusum_tensor(new_from_slices([np.eye(3)]))

@@ -56,20 +56,52 @@ def shift_csv(tmp_path, runner):
         (["benchmark", "--p-list", "a,b"], 2),
         (["rank-select", "--input", "{spike}", "--r-max", "0"], 2),
         (["changepoint", "--input", "{shift}", "--rank", "2", "--max-iter", "2"], 1),
+        (["decompose", "--input", "{spike}", "--trace-csv", "{nodir}"], 2),
+        (["decompose", "--input", "{spike}", "--output", "{nodir}"], 2),
     ],
-    ids=["simulate", "benchmark", "rank-select", "changepoint"],
+    ids=["simulate", "benchmark", "rank-select", "changepoint", "trace-csv-unwritable",
+         "output-unwritable"],
 )
 def test_exit_code_contract(tmp_path, runner, spike_csv, shift_csv, args, code):
-    """Input errors exit 2 with no artifact; non-convergence exits 1 after writing it."""
+    """Input errors and unwritable paths exit 2 with no artifact; non-convergence
+    exits 1 after writing it."""
     out = tmp_path / "out.json"
-    inputs = {"{spike}": str(spike_csv[0]), "{shift}": str(shift_csv)}
-    args = [inputs.get(a, a) for a in args] + ["--output", str(out)]
+    inputs = {"{spike}": str(spike_csv[0]), "{shift}": str(shift_csv),
+              "{nodir}": str(tmp_path / "nodir" / "x")}
+    args = [inputs.get(a, a) for a in args]
+    if "--output" not in args:
+        args += ["--output", str(out)]
     result = runner.invoke(main, args, catch_exceptions=False)
     assert result.exit_code == code, result.output
     assert result.stderr.startswith("error: " if code == 2 else "warning: ")
     assert out.exists() == (code == 1)
+    assert not (tmp_path / "nodir").exists()
     if code == 1:
         assert json.loads(out.read_text())["command"] == args[0]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["decompose", "--input", "{spike}", "--ranks", "2"],
+        ["changepoint", "--input", "{shift}"],
+        ["rank-select", "--input", "{spike}", "--r-max", "1", "--k-max", "1"],
+        ["simulate", "--preset", "spike", "--p", "6", "--t", "4"],
+        ["benchmark", "--p-list", "6", "--d-list", "5", "--t", "4", "--reps", "1",
+         "--threads", "2"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_config_echoes_own_options(tmp_path, runner, spike_csv, shift_csv, args):
+    """`config` holds the command name and exactly that command's options, minus --threads."""
+    out = tmp_path / "out.json"
+    inputs = {"{spike}": str(spike_csv[0]), "{shift}": str(shift_csv)}
+    run_ok(runner, [inputs.get(a, a) for a in args] + ["--output", str(out)])
+    config = json.loads(out.read_text())["config"]
+    params = {p.name for p in main.commands[args[0]].params}
+    assert set(config) == {"command"} | params - {"threads"}
+    assert config["command"] == args[0]
+    assert config["output"] == str(out)
 
 
 class TestDecomposeCommand:

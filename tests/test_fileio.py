@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from sstpca.cli import RunConfig
 from sstpca.decompose import Factor
 from sstpca.errors import AsymmetricInput, InconsistentDimensions, ParseError
 from sstpca.fileio import (
@@ -117,22 +116,6 @@ class TestSerialization:
         assert np.array_equal(back.u, f.u)
         assert np.array_equal(back.V, f.V)
         assert back.d == f.d
-
-    def test_runconfig_roundtrip(self):
-        cfg = RunConfig(
-            command="decompose",
-            input="x.csv",
-            format="long-csv",
-            ranks=(3, 2),
-            scheme="projection",
-            seed=7,
-            tol=1e-9,
-            max_iter=123,
-            init="random",
-            output="out.json",
-        )
-        back = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
-        assert back == cfg
 
     def test_canonical_json_handles_numpy(self):
         payload = {"a": np.float64(1.5), "b": np.int64(3), "c": np.arange(3)}

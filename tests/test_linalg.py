@@ -84,6 +84,8 @@ class TestAngles:
     def test_orthogonal_vectors(self):
         e1, e2 = np.eye(2)[:, :1], np.eye(2)[:, 1:]
         assert principal_angles(e1, e2)[0] == pytest.approx(np.pi / 2)
+        e1, e2 = np.eye(3)[0], np.eye(3)[1]  # 1-D vectors
+        assert principal_angles(e1, e2) == pytest.approx([np.pi / 2])
 
     def test_45_degrees(self):
         e1 = np.eye(2)[:, :1]
@@ -103,6 +105,8 @@ class TestAngles:
         assert sin_theta_frob(V, V @ Q) < 1e-6
         proj_diff = np.abs(V @ V.T - (V @ Q) @ (V @ Q).T).max()
         assert proj_diff < 1e-8
+        u = random_unit(3, rng)  # a 1-D vector spans one column
+        assert sin_theta_frob(u, -u) < 1e-6
 
     def test_subspace_angle_largest(self):
         V1 = np.eye(3)[:, :2]
