@@ -4,9 +4,13 @@ Two input formats:
 
   slice-dir  a directory of dense p x p CSV files, one per slice, read in
              lexicographic filename order
-  long-csv   a single file with header ``t,i,j,w``; 1-based node indices,
-             rows in any order, missing pairs are zero, and duplicate
-             (i,j)/(j,i) entries must agree within 1e-8
+  long-csv   a single file with header ``t,i,j,w`` and rows of integers
+             t, i, j and a finite weight w, in any order; missing pairs are
+             zero. The distinct t values are sorted and renumbered 1..T
+             (gaps collapse), p is the largest 1-based node index seen,
+             duplicate (i,j)/(j,i) rows must agree within 1e-8 and the first
+             is kept. Lines of only whitespace or commas are skipped; '#'
+             starts no comment. Errors name the file row (the header is 1).
 
 Results are written as canonical JSON (sorted keys, fixed separators) so
 identical runs produce byte-identical artifacts.
@@ -21,7 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from .decompose import Factor
-from .errors import AsymmetricInput, AsymmetricSlice, InconsistentDimensions, ParseError
+from .errors import (
+    AsymmetricInput,
+    AsymmetricSlice,
+    InconsistentDimensions,
+    NonFiniteEntry,
+    ParseError,
+)
 from .tensor import SemiSymTensor, new_from_slices
 
 FORMATS = ("slice-dir", "long-csv")
@@ -62,50 +72,104 @@ def _load_slice_dir(root: Path) -> SemiSymTensor:
         raise AsymmetricInput(str(e)) from e
 
 
-def _load_long_csv(path: Path) -> SemiSymTensor:
-    entries: dict = {}  # (t, min(i,j), max(i,j)) -> weight
-    max_node = 0
+# One data row of a long-csv file.
+ROW_DTYPE = np.dtype([("t", np.int64), ("i", np.int64), ("j", np.int64), ("w", np.float64)])
+
+
+def _parse_rows(source) -> np.ndarray:
+    # comments=None: '#' is data, so '# x' or '0.5#x' fails instead of being cut off.
+    return np.loadtxt(source, dtype=ROW_DTYPE, delimiter=",", comments=None, quotechar='"',
+                      ndmin=1)
+
+
+def _data_lines(path: Path) -> list:
+    """(row number, line) of every line after the header (row 1) that holds
+    more than whitespace, commas and quotes."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        return [(n, line) for n, line in enumerate(fh, start=1)
+                if n > 1 and line.replace(",", "").replace('"', "").strip()]
+
+
+def _first_unparsable(lines: list) -> int:
+    """Index of the first line `_parse_rows` rejects, given that it rejects one."""
+    lo, hi = 0, len(lines)  # lines[:lo] parse; the first bad line is in lines[lo:hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path.name}: empty file") from None
+            _parse_rows(lines[lo:mid])
+            lo = mid
+        except ValueError:
+            hi = mid
+    return lo
+
+
+def _load_long_csv(path: Path) -> SemiSymTensor:
+    with open(path, newline="") as fh:
+        first = fh.readline()
+        if not first:
+            raise ParseError(f"{path.name}: empty file")
+        header = next(csv.reader([first]), [])
         if [c.strip().lower() for c in header] != ["t", "i", "j", "w"]:
             raise ParseError(f"{path.name}: expected header 't,i,j,w', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 4:
-                raise ParseError(f"{path.name}, row {lineno}: expected 4 fields, got {len(row)}")
+        # np.loadtxt only warns on input without rows, so look for some first.
+        start = fh.tell()
+        has_data = any(chunk.strip() for chunk in iter(lambda: fh.read(1 << 16), ""))
+        fh.seek(start)
+        numbered = None  # (row number, line) pairs, read only when needed
+        try:
+            rows = _parse_rows(fh) if has_data else None
+        except ValueError:
+            # Lines of only commas or whitespace (skipped, as blank) or a
+            # malformed row: parse again without the blank lines.
+            numbered = _data_lines(path)
+            lines = [line for _, line in numbered]
             try:
-                t, i, j = int(row[0]), int(row[1]), int(row[2])
-                w = float(row[3])
-            except ValueError as e:
-                raise ParseError(f"{path.name}, row {lineno}: {e}") from e
-            if i < 1 or j < 1:
-                raise ParseError(f"{path.name}, row {lineno}: node indices are 1-based")
-            key = (t, min(i, j), max(i, j))
-            if key in entries:
-                if abs(entries[key] - w) > DUPLICATE_TOL:
-                    raise AsymmetricInput(
-                        f"{path.name}, row {lineno}: pair ({i},{j}) at t={t} "
-                        f"conflicts with earlier value by {abs(entries[key] - w):.3e}"
-                    )
-            else:
-                entries[key] = w
-            max_node = max(max_node, i, j)
-    if not entries:
+                rows = _parse_rows(lines) if lines else None
+            except ValueError:
+                n, line = numbered[_first_unparsable(lines)]
+                raise ParseError(
+                    f"{path.name}, row {n}: expected 4 fields t,i,j,w (integers t, i, j and "
+                    f"a number w), got {line.strip()[:80]!r}"
+                ) from None
+    if rows is None:
         raise ParseError(f"{path.name}: no data rows")
-    times = sorted({k[0] for k in entries})
-    p = max_node
-    slices = [np.zeros((p, p)) for _ in times]
-    t_index = {t: k for k, t in enumerate(times)}
-    for (t, a, b), w in entries.items():
-        s = slices[t_index[t]]
-        s[a - 1, b - 1] = w
-        s[b - 1, a - 1] = w
-    return new_from_slices(slices)
+
+    def row_number(k) -> int:
+        return (numbered or _data_lines(path))[k][0]
+
+    t, i, j, w = rows["t"], rows["i"], rows["j"], rows["w"]
+    bad = np.flatnonzero((i < 1) | (j < 1))
+    if bad.size:
+        raise ParseError(f"{path.name}, row {row_number(bad[0])}: node indices are 1-based")
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        raise NonFiniteEntry(f"{path.name}, row {row_number(bad[0])}: weight {w[bad[0]]} "
+                             "is not finite")
+    times, slot = np.unique(t, return_inverse=True)
+    p = int(max(i.max(), j.max()))
+    data = np.zeros((p, p, times.size))
+    a, b = np.minimum(i, j) - 1, np.maximum(i, j) - 1
+    # Rows with equal keys name the same entry; a stable sort keeps them in
+    # file order, so the first of each run is the row read first.
+    key = (slot * p + a) * p + b
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    run_first = order[np.maximum.accumulate(np.where(first, np.arange(key.size), 0))]
+    gap = np.abs(w[order] - w[run_first])
+    conflict = np.flatnonzero(gap > DUPLICATE_TOL)
+    if conflict.size:
+        s = conflict[np.argmin(order[conflict])]  # the conflict read first
+        k = order[s]
+        raise AsymmetricInput(
+            f"{path.name}, row {row_number(k)}: pair ({i[k]},{j[k]}) at t={t[k]} "
+            f"conflicts with earlier value by {gap[s]:.3e}"
+        )
+    keep = order[first]
+    data[a[keep], b[keep], slot[keep]] = w[keep]
+    data[b[keep], a[keep], slot[keep]] = w[keep]
+    return SemiSymTensor(data)
 
 
 def load_tensor(path, fmt: str) -> SemiSymTensor:
@@ -123,15 +187,19 @@ def load_tensor(path, fmt: str) -> SemiSymTensor:
 
 
 def write_long_csv(X: SemiSymTensor, path) -> None:
-    """Write a tensor in long-csv form (upper triangle with the diagonal, 1-based indices)."""
+    """Write a tensor in long-csv form (upper triangle with the diagonal, 1-based indices).
+
+    Lines end in CRLF and weights are written as ``repr(float)``, which reads
+    back to the same double.
+    """
+    iu, ju = np.triu_indices(X.p)
+    pairs = [f"{a},{b}," for a, b in zip((iu + 1).tolist(), (ju + 1).tolist())]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "i", "j", "w"])
-        iu = np.triu_indices(X.p)
+        fh.write("t,i,j,w\r\n")
         for t in range(X.T):
-            s = X.slice(t)
-            for a, b in zip(iu[0], iu[1]):
-                writer.writerow([t + 1, a + 1, b + 1, repr(float(s[a, b]))])
+            weights = map(repr, X.data[iu, ju, t].tolist())
+            sep = f"\r\n{t + 1},"  # ends one line and starts the next
+            fh.write(sep[2:] + sep.join(map(str.__add__, pairs, weights)) + "\r\n")
 
 
 def _jsonable(obj):

@@ -230,3 +230,18 @@ class TestFitMulti:
             dec = fit_multi(X, [2, 2], "hotelling", FitOptions(max_iter=80))
         if dec.factors[0].d < dec.factors[1].d:
             assert any("monotone" in str(w.message) for w in caught)
+
+
+class TestProjectionAlgebra:
+    @pytest.mark.parametrize("p", (5, 40))
+    @pytest.mark.parametrize("r", (1, 3))
+    def test_low_rank_form_matches_dense_products(self, p, r):
+        T = 6
+        rng = np.random.default_rng(10 * p + r)
+        X = SemiSymTensor(rng.standard_normal((p, p, T)), check=False)
+        f = Factor(u=random_unit(T, rng), V=random_stiefel(p, r, rng), d=1.0)
+        P = np.eye(p) - f.V @ f.V.T
+        Pu = np.eye(T) - np.outer(f.u, f.u)
+        dense = ttm(ttm(ttm(X, P, 1), P, 2), Pu, 3)
+        got = deflate(X, f, "projection").data
+        assert np.abs(got - dense).max() <= 1e-12 * frob_norm(X)

@@ -1,10 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from sstpca.decompose import Factor
-from sstpca.errors import AsymmetricInput, InconsistentDimensions, ParseError
+from sstpca.errors import AsymmetricInput, InconsistentDimensions, NonFiniteEntry, ParseError
 from sstpca.fileio import (
     canonical_json,
     factor_from_dict,
@@ -14,6 +15,7 @@ from sstpca.fileio import (
 )
 from sstpca.linalg import random_stiefel, random_unit
 from sstpca.simulate import spike_model
+from sstpca.tensor import SemiSymTensor
 
 
 class TestLongCsv:
@@ -70,6 +72,107 @@ class TestLongCsv:
         back = load_tensor(path, "long-csv")
         assert np.array_equal(back.data, X.data)
 
+
+
+def reference_load(rows):
+    """Long-csv rules as a dict: the first of agreeing duplicates is kept,
+    distinct t values are sorted and numbered, p is the largest index seen."""
+    entries = {}
+    for t, i, j, w in rows:
+        entries.setdefault((t, min(i, j), max(i, j)), w)
+    times = sorted({key[0] for key in entries})
+    p = max(max(i, j) for _, i, j, _ in rows)
+    data = np.zeros((p, p, len(times)))
+    for (t, a, b), w in entries.items():
+        data[a - 1, b - 1, times.index(t)] = data[b - 1, a - 1, times.index(t)] = w
+    return data
+
+
+class TestLongCsvContract:
+    def load(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        return load_tensor(path, "long-csv")
+
+    @pytest.mark.parametrize("line", ["# x", "1,1,2,0.5#x", "#1,1,2,0.5"])
+    def test_hash_is_data_not_a_comment(self, tmp_path, line):
+        with pytest.raises(ParseError, match="row 3"):
+            self.load(tmp_path, f"t,i,j,w\n1,1,2,0.5\n{line}\n")
+
+    @pytest.mark.parametrize("blank", ["", "   ", ",,,", " , ,\t,", '"","","",""'])
+    def test_blank_lines_are_skipped_but_counted(self, tmp_path, blank):
+        plain = self.load(tmp_path, "t,i,j,w\n1,1,2,0.5\n2,1,1,3.0\n")
+        X = self.load(tmp_path, f"t,i,j,w\n{blank}\n1,1,2,0.5\n{blank}\n2,1,1,3.0\n{blank}\n")
+        assert np.array_equal(X.data, plain.data)
+        with pytest.raises(ParseError, match="row 4: node indices are 1-based"):
+            self.load(tmp_path, f"t,i,j,w\n1,1,2,0.5\n{blank}\n1,0,2,0.5\n")
+
+    def test_crlf_and_quoted_numbers(self, tmp_path):
+        X = self.load(tmp_path, 't,i,j,w\r\n"1","1","2","0.5"\r\n1,2,2,"1.5"\r\n')
+        assert np.array_equal(X.slice(0), [[0.0, 0.5], [0.5, 1.5]])
+
+    def test_float_in_integer_column(self, tmp_path):
+        with pytest.raises(ParseError, match="row 3:"):
+            self.load(tmp_path, "t,i,j,w\n1,1,2,0.5\n1.0,1,2,0.5\n1,1,1,0.5\n")
+
+    @pytest.mark.parametrize("line", ["1,1,2", "1,1,2,0.5,0", "1,1,2,"])
+    def test_wrong_field_count(self, tmp_path, line):
+        with pytest.raises(ParseError, match="row 4:"):
+            self.load(tmp_path, f"t,i,j,w\n1,1,2,0.5\n\n{line}\n1,1,1,0.5\n")
+
+    def test_conflict_names_the_first_conflicting_row_read(self, tmp_path):
+        # The t=1 pair sorts first, but the t=2 conflict is read first.
+        text = "t,i,j,w\n2,1,2,1.0\n1,1,2,1.0\n2,2,1,5.0\n1,2,1,5.0\n"
+        with pytest.raises(AsymmetricInput, match=r"row 4: pair \(2,1\) at t=2 .* 4\.000e\+00"):
+            self.load(tmp_path, text)
+
+    def test_agreeing_duplicates_keep_the_first(self, tmp_path):
+        X = self.load(tmp_path, "t,i,j,w\n1,2,1,0.5\n1,1,2,0.500000001\n")
+        assert X.slice(0)[0, 1] == 0.5
+
+    def test_zero_based_index_row(self, tmp_path):
+        with pytest.raises(ParseError, match="row 3: node indices are 1-based"):
+            self.load(tmp_path, "t,i,j,w\n1,1,2,0.5\n1,2,0,0.5\n")
+
+    @pytest.mark.parametrize("body", ["", "\n\n", ",,,\n  \n"])
+    def test_header_only_has_no_data_rows(self, tmp_path, body):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="no data rows"):
+                self.load(tmp_path, "t,i,j,w\n" + body)
+
+    @pytest.mark.parametrize("w", ["nan", "inf", "-inf"])
+    def test_non_finite_weight(self, tmp_path, w):
+        with pytest.raises(NonFiniteEntry, match="row 3"):
+            self.load(tmp_path, f"t,i,j,w\n1,1,2,0.5\n1,2,2,{w}\n")
+
+    def test_matches_reference_on_shuffled_input(self, tmp_path):
+        rng = np.random.default_rng(7)
+        rows = []
+        for t in (-3, 0, 2, 10):  # gaps collapse to 4 slices
+            for i in range(1, 9):
+                for j in range(i, 9):
+                    if rng.random() < 0.6:
+                        w = float(rng.standard_normal())
+                        rows.append((t, i, j, w))
+                        if rng.random() < 0.3:  # a second, agreeing copy as (j, i)
+                            rows.append((t, j, i, w + float(rng.uniform(-1e-9, 1e-9))))
+        rows = [rows[k] for k in rng.permutation(len(rows))]
+        text = "t,i,j,w\n" + "".join(f"{t},{i},{j},{w!r}\n" for t, i, j, w in rows)
+        X = self.load(tmp_path, text)
+        assert np.array_equal(X.data, reference_load(rows))
+
+
+def test_write_long_csv_golden_bytes(tmp_path):
+    A = np.array([[-0.0, 1e-300], [1e-300, 0.1 + 0.2]])
+    X = SemiSymTensor(np.stack([A, 3 * A + np.eye(2)], axis=-1))
+    path = tmp_path / "x.csv"
+    write_long_csv(X, path)
+    assert path.read_bytes() == (
+        b"t,i,j,w\r\n"
+        b"1,1,1,-0.0\r\n1,1,2,1e-300\r\n1,2,2,0.30000000000000004\r\n"
+        b"2,1,1,1.0\r\n2,1,2,3e-300\r\n2,2,2,1.9000000000000001\r\n"
+    )
 
 class TestSliceDir:
     def test_reads_sorted(self, tmp_path):
