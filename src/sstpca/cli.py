@@ -4,9 +4,12 @@ Five subcommands: ``decompose``, ``changepoint``, ``simulate``,
 ``benchmark``, and ``rank-select``. Every command writes one canonical
 JSON artifact (sorted keys, no timestamps); tabular side products go to
 CSV. For a fixed seed and a fixed BLAS thread count (OPENBLAS_NUM_THREADS
-and the like) the bytes are identical across runs and worker-thread
-counts; another BLAS thread count can change the last digits, because
-the eigensolver's rounding depends on it.
+and the like) the bytes are identical across runs; another BLAS thread
+count can change the last digits, because the eigensolver's rounding
+depends on it. ``benchmark`` with two or more worker threads and reps
+holds OpenBLAS at one thread while its pool runs, so every such worker
+count gives the bytes of a one-BLAS-thread run; ``--threads 1`` keeps the
+process's BLAS threads and can differ from them in the last digits.
 
 All five commands run through one runner, `_command`, which owns the exit
 codes: 0 success, 2 input error, 1 flagged non-convergence. Only
@@ -15,8 +18,9 @@ commands exit 0 even when a fit inside them hits the iteration cap.
 
 The ``config`` block of each artifact echoes exactly the options of the
 command that ran, plus ``command``. The worker thread count comes from
-``--threads`` or the SSTPCA_THREADS environment variable and is
-deliberately not echoed: it never affects results.
+``--threads`` or the SSTPCA_THREADS environment variable (a value that is
+not a positive integer is an input error) and is not echoed: with a
+fixed BLAS thread count of 1 it never affects results.
 """
 
 from __future__ import annotations
@@ -407,6 +411,7 @@ def rank_select(cfg: SimpleNamespace):
                 "null_bic": _finite(step.null_bic),
                 "candidates": [[r, _finite(bic)] for r, bic in step.candidates],
                 "chosen_r": step.chosen_r,
+                "failed": [[r, name] for r, name in step.failed],
             }
             for step in steps
         ],

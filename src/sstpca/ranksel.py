@@ -43,6 +43,7 @@ class RankSelectionStep:
     null_bic: float
     candidates: list = field(default_factory=list)  # (r, bic) pairs
     chosen_r: "int | None" = None
+    failed: list = field(default_factory=list)  # (r, error class name) pairs
 
 
 def rank_select_bic_trace(
@@ -52,7 +53,11 @@ def rank_select_bic_trace(
     opts: FitOptions | None = None,
     scheme: str = "hotelling",
 ):
-    """Greedy selection returning (ranks, per-step trace)."""
+    """Greedy selection returning (ranks, per-step trace).
+
+    A candidate rank whose fit raises an SSTPCAError is left out of the
+    step's ``candidates`` and listed in its ``failed``.
+    """
     if r_max < 1 or r_max > X.p:
         raise DimensionMismatch(f"r_max={r_max} must lie in [1, {X.p}]")
     if K_max < 1:
@@ -74,7 +79,8 @@ def rank_select_bic_trace(
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     factor, _ = fit_single_factor(residual, opts.with_rank(r))
-            except SSTPCAError:
+            except SSTPCAError as e:
+                step.failed.append((r, type(e).__name__))
                 continue
             rss = distinct_rss(residual.data - factor.reconstruct().data)
             bic = bic_value(rss, n_obs, n_free_params(X.p, X.T, r))

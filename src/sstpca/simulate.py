@@ -256,6 +256,10 @@ def rate_sweep(
 
     Deterministic for a fixed seed: each (cell, rep) pair gets its own
     spawned RNG stream and aggregation runs in fixed replicate order.
+    With ``n_threads`` > 1 and ``reps`` > 1 the fits run with BLAS held at
+    one thread (see ``ordered_map``), so every such ``n_threads`` gives the
+    same bits as ``n_threads=1`` under one BLAS thread; ``n_threads=1``
+    under a multi-threaded BLAS can differ in the last digits.
     Fit warnings are silenced on the calling thread: warning filters are
     process-wide, so worker threads must not enter catch_warnings.
     """

@@ -81,6 +81,22 @@ def test_exit_code_contract(tmp_path, runner, spike_csv, shift_csv, args, code):
 
 
 @pytest.mark.parametrize(
+    "flag, env",
+    [([], "abc"), ([], "0"), (["--threads", "0"], None), (["--threads", "-3"], None)],
+    ids=["env-abc", "env-0", "flag-0", "flag-neg"],
+)
+def test_bad_thread_count_is_input_error(tmp_path, runner, flag, env):
+    out = tmp_path / "out.json"
+    args = ["benchmark", "--p-list", "6", "--d-list", "5", "--t", "4", "--reps", "2",
+            *flag, "--output", str(out)]
+    result = runner.invoke(main, args, env={"SSTPCA_THREADS": env}, catch_exceptions=False)
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: ")
+    assert ("--threads" if flag else "SSTPCA_THREADS") in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["decompose", "--input", "{spike}", "--ranks", "2"],
@@ -312,6 +328,16 @@ class TestRankSelectCommand:
         res = json.loads(out.read_text())["results"]
         assert res["ranks"][:1] == [2]
         assert res["steps"][0]["chosen_r"] == 2
+
+    def test_lists_failed_candidates(self, tmp_path, runner):
+        data = tmp_path / "zero.csv"
+        data.write_text("t,i,j,w\n1,1,1,0\n1,3,3,0\n2,2,3,0\n")
+        out = tmp_path / "rs.json"
+        run_ok(runner, ["rank-select", "--input", str(data), "--r-max", "2",
+                        "--output", str(out)])
+        (step,) = json.loads(out.read_text())["results"]["steps"]
+        assert step["failed"] == [[1, "DegenerateIterate"], [2, "DegenerateIterate"]]
+        assert step["candidates"] == []
 
     def test_version_flag(self, runner):
         result = runner.invoke(main, ["--version"])

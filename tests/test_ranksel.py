@@ -97,3 +97,12 @@ class TestSelection:
         chosen = steps[0]
         best_bic = min(b for _, b in chosen.candidates)
         assert best_bic <= chosen.null_bic
+
+    def test_failed_candidates_are_listed(self):
+        X = SemiSymTensor(np.zeros((5, 5, 3)))
+        ranks, steps = rank_select_bic_trace(X, r_max=3, K_max=2)
+        assert ranks == []
+        (step,) = steps
+        assert step.failed == [(1, "DegenerateIterate"), (2, "DegenerateIterate"),
+                               (3, "DegenerateIterate")]
+        assert step.candidates == []
