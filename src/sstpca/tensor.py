@@ -17,7 +17,7 @@ from .errors import (
     LengthNotTriangular,
     NonFiniteEntry,
 )
-from .linalg import random_stiefel, sym
+from .linalg import _columns, random_stiefel, sym
 
 SYMMETRY_REL_TOL = 1e-8
 SYMMETRY_ABS_FLOOR = 1e-12
@@ -29,7 +29,7 @@ class SemiSymTensor:
     __slots__ = ("data",)
 
     def __init__(self, data: np.ndarray, check: bool = True):
-        data = np.array(data, dtype=np.float64, copy=True)
+        data = np.asarray(data, dtype=np.float64)
         if data.ndim != 3 or data.shape[0] != data.shape[1]:
             raise DimensionMismatch(f"expected (p, p, T) array, got shape {data.shape}")
         if data.shape[0] < 1 or data.shape[2] < 1:
@@ -44,10 +44,24 @@ class SemiSymTensor:
                 raise AsymmetricSlice(
                     f"max asymmetry {asym:.3e} exceeds tolerance {tol:.3e}"
                 )
-        # Symmetrize so downstream eigensolvers see exactly symmetric slices.
+        # Symmetrize so downstream eigensolvers see exactly symmetric slices;
+        # sym returns a new array, so the caller's array is never aliased.
         data = sym(data)
         data.setflags(write=False)
         self.data = data
+
+    @classmethod
+    def _trusted(cls, data: np.ndarray) -> "SemiSymTensor":
+        """Wrap an exactly symmetric float64 (p, p, T) array as is.
+
+        No copy, symmetrization or check: the caller guarantees that every
+        slice equals its transpose bit for bit (so sym would return the same
+        bytes) and hands the array over; it is made read-only in place.
+        """
+        data.setflags(write=False)
+        X = cls.__new__(cls)
+        X.data = data
+        return X
 
     @property
     def p(self) -> int:
@@ -132,9 +146,7 @@ def ttv3(X, u: np.ndarray) -> np.ndarray:
 def trace_product(X, V: np.ndarray) -> np.ndarray:
     """T-vector with entries trace(V' X_t V)."""
     data = _as_data(X)
-    V = np.asarray(V, dtype=np.float64)
-    if V.ndim == 1:
-        V = V[:, None]
+    V = _columns(V)
     if V.shape[0] != data.shape[0]:
         raise DimensionMismatch(f"V has {V.shape[0]} rows, tensor has p={data.shape[0]}")
     return np.einsum("ijt,ij->t", data, sym(V @ V.T))
@@ -144,12 +156,24 @@ def rank1_outer(d: float, V: np.ndarray, u: np.ndarray) -> SemiSymTensor:
     """Single-factor tensor with slice t equal to d * u_t * V V'."""
     if d < 0:
         raise DimensionMismatch("scale d must be nonnegative")
-    V = np.asarray(V, dtype=np.float64)
-    if V.ndim == 1:
-        V = V[:, None]
+    V = _columns(V)
     u = np.asarray(u, dtype=np.float64).ravel()
     W = sym(d * (V @ V.T))
     return SemiSymTensor(W[:, :, None] * u[None, None, :], check=False)
+
+
+def factor_inner(a: float, V: np.ndarray, u: np.ndarray, b: float, W: np.ndarray,
+                 w: np.ndarray) -> float:
+    """<rank1_outer(a, V, u), rank1_outer(b, W, w)> = a b (u . w) ||V'W||_F^2.
+
+    Costs O(p r r' + T) and forms neither tensor; V and W need not be
+    orthonormal.
+    """
+    V, W = _columns(V), _columns(W)
+    if V.shape[0] != W.shape[0]:
+        raise DimensionMismatch(f"V has {V.shape[0]} rows, W has {W.shape[0]}")
+    cross = V.T @ W
+    return float(a * b * np.dot(u, w) * np.vdot(cross, cross))
 
 
 def uvec(A: np.ndarray) -> np.ndarray:

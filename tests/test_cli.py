@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,3 +346,10 @@ class TestRankSelectCommand:
         result = runner.invoke(main, ["--version"])
         assert result.exit_code == 0
         assert __version__ in result.output
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.linalg alone is most of a cold start; no command needs it
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = "import sys, sstpca.cli; assert 'scipy' not in sys.modules, sorted(sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

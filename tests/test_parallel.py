@@ -102,10 +102,11 @@ def _benchmark_results(tmp_path, blas_threads_env: str, workers: str) -> dict:
 @needs_openblas
 def test_pooled_results_equal_single_blas_thread_results(tmp_path):
     """At p=100 OpenBLAS threads its eigensolver. Pools of 2 and 4 workers
-    run with one BLAS thread and give the bits of a one-BLAS-thread run;
-    a serial run under 2 BLAS threads differs from them in the last digits."""
+    run with one BLAS thread and give the bits of a one-BLAS-thread run.
+    A serial run under 2 BLAS threads gives them too, since recon_err is
+    computed in closed form instead of by a threaded dot over a dense
+    p x p x T difference, the one reduction here that changed with it."""
     single_blas = _benchmark_results(tmp_path, "1", "1")
     assert _benchmark_results(tmp_path, "2", "2") == single_blas
     assert _benchmark_results(tmp_path, "2", "4") == single_blas
-    if len(os.sched_getaffinity(0)) >= 2:
-        assert _benchmark_results(tmp_path, "2", "1") != single_blas
+    assert _benchmark_results(tmp_path, "2", "1") == single_blas

@@ -7,6 +7,7 @@ from sstpca.decompose import FitOptions, fit_single_factor
 from sstpca.linalg import random_stiefel, random_unit
 from sstpca.ranksel import (
     bic_value,
+    candidate_rss,
     distinct_rss,
     n_free_params,
     rank_select_bic,
@@ -34,6 +35,17 @@ class TestPieces:
 
     def test_zero_rss(self):
         assert bic_value(0.0, 10, 3) == float("-inf")
+
+    @pytest.mark.parametrize("r, eigen_scaled", [(1, False), (3, False), (2, True)])
+    def test_candidate_rss_matches_dense(self, r, eigen_scaled):
+        rng = np.random.default_rng(40 + r)
+        data = rank1_outer(4.0, random_stiefel(11, 2, rng), random_unit(6, rng)).data
+        X = SemiSymTensor(data + goe_noise(11, 6, 0.3, rng), check=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            f, _ = fit_single_factor(X, FitOptions(rank=r, eigen_scaled=eigen_scaled))
+        dense = distinct_rss(X.data - f.reconstruct().data)
+        assert candidate_rss(X, distinct_rss(X), f) == pytest.approx(dense, rel=1e-12)
 
 
 class TestSelection:

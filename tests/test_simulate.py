@@ -3,15 +3,18 @@ import warnings
 import numpy as np
 import pytest
 
-from sstpca.decompose import FitOptions, fit_single_factor
+from sstpca.decompose import Factor, FitOptions, fit_single_factor
 from sstpca.errors import (
     BudgetExceeded,
+    DimensionMismatch,
     InvalidParameter,
     InvalidProbability,
 )
-from sstpca.linalg import sign_aligned_error
+from sstpca.linalg import random_stiefel, random_unit, sign_aligned_error
 from sstpca.simulate import (
+    SpikeTruth,
     SweepCell,
+    _recon_error,
     dirichlet_latents,
     fit_adversarial,
     goe_noise,
@@ -24,7 +27,7 @@ from sstpca.simulate import (
     sweep_rows,
     write_sweep_csv,
 )
-from sstpca.tensor import SemiSymTensor, rank1_outer
+from sstpca.tensor import SemiSymTensor, frob_norm, rank1_outer
 
 
 class TestSpikeModel:
@@ -58,6 +61,53 @@ class TestSpikeModel:
     def test_bad_mode(self):
         with pytest.raises(InvalidParameter):
             spike_model(4, 3, 1, 1.0, 1.0, "diagonal", np.random.default_rng(0))
+
+    @pytest.mark.parametrize("p", [7, 50])
+    @pytest.mark.parametrize("u_mode", ["sphere", "positive", "constant"])
+    def test_bytes_equal_dense_signal_plus_noise(self, p, u_mode):
+        # the in-place sum must give the bytes of the dense signal + noise
+        T, r, d, sigma, seed = 6, 3, 4.0, 0.7, 100 + p
+        X, _ = spike_model(p, T, r, d, sigma, u_mode, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        V = random_stiefel(p, r, rng)
+        u = (np.full(T, 1 / np.sqrt(T)) if u_mode == "constant"
+             else random_unit(T, rng, positive=(u_mode == "positive")))
+        expected = rank1_outer(d, V, u).data + goe_noise(p, T, sigma, rng)
+        assert X.data.tobytes() == expected.tobytes()
+
+    def test_output_is_readonly(self):
+        X, _ = spike_model(5, 3, 1, 2.0, 1.0, "sphere", np.random.default_rng(6))
+        with pytest.raises(ValueError):
+            X.data[0, 1, 0] = 1.0
+
+    def test_negative_scale_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            spike_model(5, 3, 1, -1.0, 1.0, "sphere", np.random.default_rng(0))
+
+
+class TestReconError:
+    @pytest.mark.parametrize("r_fit, eigen_scaled", [(2, False), (3, False), (1, True)])
+    def test_matches_dense_error(self, r_fit, eigen_scaled):
+        rng = np.random.default_rng(20 + r_fit)
+        p, T = 12, 7
+        truth = SpikeTruth(random_unit(T, rng), random_stiefel(p, 2, rng), 3.0, 1.0, 0.0)
+        V = random_stiefel(p, r_fit, rng)
+        if eigen_scaled:
+            V = V * np.sqrt(np.linspace(4.0, 0.5, r_fit))
+        factor = Factor(u=random_unit(T, rng), V=V, d=2.2)
+        signal = rank1_outer(truth.d, truth.V_star, truth.u_star)
+        dense = frob_norm(factor.reconstruct().data - signal.data) / frob_norm(signal)
+        assert _recon_error(factor, truth) == pytest.approx(dense, rel=1e-12)
+
+    def test_sweep_recon_matches_dense_error(self):
+        # a near-truth fit, where the expansion cancels most
+        rng = np.random.default_rng(30)
+        X, truth = spike_model(15, 8, 2, 20.0, 0.5, "sphere", rng)
+        factor, _ = fit_single_factor(X, FitOptions(rank=2))
+        signal = rank1_outer(truth.d, truth.V_star, truth.u_star)
+        dense = frob_norm(factor.reconstruct().data - signal.data) / frob_norm(signal)
+        assert 0.0 < dense < 0.2
+        assert _recon_error(factor, truth) == pytest.approx(dense, rel=1e-12)
 
 
 class TestGoeNoise:

@@ -11,6 +11,7 @@ from sstpca.errors import (
 )
 from sstpca.tensor import (
     SemiSymTensor,
+    factor_inner,
     frob_inner,
     frob_norm,
     matricize_upper,
@@ -66,6 +67,19 @@ class TestConstruction:
 
     def test_data_is_readonly(self):
         X = new_from_slices([np.eye(2)])
+        with pytest.raises(ValueError):
+            X.data[0, 0, 0] = 5.0
+
+    def test_caller_array_not_aliased(self):
+        A = np.stack([np.eye(3), 2 * np.eye(3)], axis=-1)
+        X = SemiSymTensor(A)
+        A[0, 0, 0] = 7.0
+        assert X.data[0, 0, 0] == 1.0 and A.flags.writeable
+
+    def test_trusted_wraps_without_copy_and_is_readonly(self):
+        A = np.stack([np.eye(3), 2 * np.eye(3)], axis=-1)
+        X = SemiSymTensor._trusted(A)
+        assert X.data is A
         with pytest.raises(ValueError):
             X.data[0, 0, 0] = 5.0
 
@@ -156,6 +170,31 @@ class TestRank1Outer:
     def test_negative_scale_rejected(self):
         with pytest.raises(DimensionMismatch):
             rank1_outer(-1.0, np.eye(2), np.ones(2))
+
+
+class TestFactorInner:
+    @pytest.mark.parametrize("r, r2", [(1, 1), (3, 2), (1, 4)])
+    def test_matches_dense_inner_product(self, r, r2):
+        rng = np.random.default_rng(10 + r + r2)
+        V, W = random_stiefel(9, r, rng), random_stiefel(9, r2, rng)
+        u, w = rng.standard_normal(5), random_unit(5, rng)
+        dense = frob_inner(rank1_outer(2.5, V, u), rank1_outer(0.7, W, w))
+        assert factor_inner(2.5, V, u, 0.7, W, w) == pytest.approx(dense, rel=1e-12)
+
+    def test_non_orthonormal_and_vector_bases(self):
+        # eigen-scaled fits return columns scaled by sqrt(|lambda|)
+        rng = np.random.default_rng(11)
+        V = random_stiefel(8, 3, rng) * np.sqrt([9.0, 4.0, 0.25])
+        v = rng.standard_normal(8)
+        u, w = random_unit(4, rng), random_unit(4, rng)
+        dense = frob_inner(rank1_outer(1.5, V, u), rank1_outer(3.0, v, w))
+        assert factor_inner(1.5, V, u, 3.0, v, w) == pytest.approx(dense, rel=1e-12)
+        assert factor_inner(1.5, V, u, 1.5, V, u) == pytest.approx(
+            frob_norm(rank1_outer(1.5, V, u)) ** 2, rel=1e-12)
+
+    def test_row_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            factor_inner(1.0, np.eye(3), np.ones(2), 1.0, np.eye(4), np.ones(2))
 
 
 class TestMatricization:
