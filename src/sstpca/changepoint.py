@@ -42,7 +42,8 @@ def cusum_tensor(X: SemiSymTensor) -> SemiSymTensor:
     centered = X.data - X.data[:, :, :1]
     prefix = np.cumsum(centered, axis=2)
     inner = prefix[:, :, :-1] - (t / T)[None, None, :] * prefix[:, :, -1:]
-    return SemiSymTensor(w[None, None, :] * inner, check=False)
+    # Every step is elementwise on exactly symmetric slices.
+    return SemiSymTensor._trusted(w[None, None, :] * inner)
 
 
 def detect_changepoint(

@@ -271,10 +271,10 @@ def _simulate_shift(cfg: SimpleNamespace) -> dict:
     M1 = cfg.d * (V1 @ V1.T)
     M2 = cfg.d * (V2 @ V2.T)
     noise = goe_noise(cfg.p, cfg.T, cfg.sigma, rng)
-    data = np.empty((cfg.p, cfg.p, cfg.T))
-    for t in range(cfg.T):
-        data[:, :, t] = (M1 if t < tau else M2) + noise[:, :, t]
-    X = SemiSymTensor(data, check=False)
+    cut = max(tau, 0)  # slices t < tau have mean M1; a negative bound would count from the end
+    noise[:, :, :cut] += M1[:, :, None]
+    noise[:, :, cut:] += M2[:, :, None]
+    X = SemiSymTensor(noise, check=False)
     if cfg.data_out:
         write_long_csv(X, cfg.data_out)
     return {

@@ -23,7 +23,7 @@ from .errors import (
     ZeroVector,
 )
 from .linalg import eigen_block, normalize, sin_theta_frob, sym
-from .tensor import SemiSymTensor, frob_norm, trace_product, ttv3
+from .tensor import SemiSymTensor, frob_norm, rank1_outer, trace_product, ttv3
 
 DEGENERATE_OPNORM_TOL = 1e-14
 
@@ -45,8 +45,6 @@ class Factor:
         return self.V.shape[1]
 
     def reconstruct(self) -> SemiSymTensor:
-        from .tensor import rank1_outer
-
         return rank1_outer(self.d, self.V, self.u)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .decompose import Factor, FitOptions, fit_single_factor
 from .errors import DimensionMismatch, SingularSchurBlock, SSTPCAError
-from .tensor import SemiSymTensor, frob_norm, ttm, ttv3
+from .tensor import SemiSymTensor, _add_rank1, frob_norm, ttm, ttv3
 from .tensor import new_from_slices  # noqa: F401  (perfbench times deflate.new_from_slices)
 
 SCHEMES = ("hotelling", "projection", "schur")
@@ -78,35 +78,30 @@ def deflate(X: SemiSymTensor, f: Factor, scheme: str) -> SemiSymTensor:
     """Remove a fitted factor from X under the given scheme."""
     _check_factor_dims(X, f)
     if scheme == "hotelling":
-        out = X.data - f.reconstruct().data
-    elif scheme == "projection":
-        # With P = I - VV' and symmetric X_t, P X_t P = X_t - V (X_t V)' - (P X_t V) V',
-        # which costs O(p^2 r) per slice instead of the O(p^3) of dense products.
+        out = _add_rank1(X.data.copy(), -f.d, f.V, f.u)
+    elif scheme in ("projection", "schur"):
         V = f.V
         slices = np.moveaxis(X.data, 2, 0)
         XV = slices @ V
-        PXV = XV - V @ (V.T @ XV)
-        slices = slices - V @ np.swapaxes(XV, 1, 2) - PXV @ V.T
+        if scheme == "projection":
+            # With P = I - VV' and symmetric X_t, P X_t P = X_t - V (X_t V)' - (P X_t V) V',
+            # which costs O(p^2 r) per slice instead of the O(p^3) of dense products.
+            PXV = XV - V @ (V.T @ XV)
+            slices = slices - V @ np.swapaxes(XV, 1, 2) - PXV @ V.T
+        else:
+            # X_t - X_t V (V' X_t V)^{-1} V' X_t, with all T blocks V' X_t V at once.
+            blocks = V.T @ XV
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cond = np.linalg.cond(blocks)
+            bad = np.flatnonzero(~np.isfinite(cond) | (cond >= SCHUR_COND_LIMIT))
+            if bad.size:
+                raise SingularSchurBlock(int(bad[0]), cond=float(cond[bad[0]]))
+            slices = slices - XV @ np.linalg.solve(blocks, np.swapaxes(XV, 1, 2))
         # Then (I - uu') along the slice mode.
         slices = slices - f.u[:, None, None] * np.tensordot(f.u, slices, axes=1)
         # Back to C order: einsum sums in memory order, so a (T, p, p)-major
         # residual would change later fits in the last bits.
         out = np.ascontiguousarray(np.moveaxis(slices, 0, 2))
-    elif scheme == "schur":
-        V = f.V
-        slices = []
-        for t in range(X.T):
-            A = X.slice(t)
-            block = V.T @ A @ V
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cond = np.linalg.cond(block)
-            if not np.isfinite(cond) or cond >= SCHUR_COND_LIMIT:
-                raise SingularSchurBlock(t, cond=float(cond))
-            AV = A @ V
-            slices.append(A - AV @ np.linalg.solve(block, AV.T))
-        tilde = np.stack(slices, axis=-1)
-        Pu = np.eye(X.T) - np.outer(f.u, f.u)
-        out = ttm(tilde, Pu, 3)
     else:
         raise DimensionMismatch(f"unknown deflation scheme {scheme!r}")
     # Revalidate so floating-point asymmetry cannot accumulate over steps.
@@ -172,5 +167,5 @@ def reconstruct(dec: Decomposition, p: int, T: int) -> SemiSymTensor:
     """Sum of all fitted components as a tensor."""
     acc = np.zeros((p, p, T))
     for f in dec.factors:
-        acc = acc + f.reconstruct().data
-    return SemiSymTensor(acc, check=False)
+        _add_rank1(acc, f.d, f.V, f.u)
+    return SemiSymTensor._trusted(acc)

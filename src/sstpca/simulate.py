@@ -25,7 +25,7 @@ from .linalg import (
     sign_aligned_error,
     sym,
 )
-from .tensor import SemiSymTensor, factor_inner
+from .tensor import SemiSymTensor, _add_rank1, factor_inner
 
 U_MODES = ("sphere", "positive", "constant")
 
@@ -80,12 +80,8 @@ def spike_model(
         u_star = random_unit(T, rng, positive=(u_mode == "positive"))
     if d < 0:
         raise DimensionMismatch("scale d must be nonnegative")
-    W = sym(d * (V_star @ V_star.T))
-    data = goe_noise(p, T, sigma, rng)
-    # Add W o u* one row at a time so each (p, T) temporary stays in cache.
-    # Noise and signal are both exactly symmetric, hence so is their sum.
-    for i in range(p):
-        data[i] += np.multiply.outer(W[i], u_star)
+    # The noise is exactly symmetric, hence so is noise + signal.
+    data = _add_rank1(goe_noise(p, T, sigma, rng), d, V_star, u_star)
     snr = float(d / np.sqrt(p * np.log(T))) if T > 1 else float("inf")
     truth = SpikeTruth(u_star, V_star, float(d), float(sigma), snr)
     return SemiSymTensor._trusted(data), truth

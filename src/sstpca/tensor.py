@@ -152,14 +152,23 @@ def trace_product(X, V: np.ndarray) -> np.ndarray:
     return np.einsum("ijt,ij->t", data, sym(V @ V.T))
 
 
+def _add_rank1(data: np.ndarray, d: float, V: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Add sym(d VV') o u to `data` in place, row by row so temporaries stay in cache."""
+    V = _columns(V)
+    u = np.asarray(u, dtype=np.float64).ravel()
+    W = sym(d * (V @ V.T))
+    for i in range(W.shape[0]):
+        data[i] += np.multiply.outer(W[i], u)
+    return data
+
+
 def rank1_outer(d: float, V: np.ndarray, u: np.ndarray) -> SemiSymTensor:
     """Single-factor tensor with slice t equal to d * u_t * V V'."""
     if d < 0:
         raise DimensionMismatch("scale d must be nonnegative")
-    V = _columns(V)
-    u = np.asarray(u, dtype=np.float64).ravel()
-    W = sym(d * (V @ V.T))
-    return SemiSymTensor(W[:, :, None] * u[None, None, :], check=False)
+    p, T = len(V), np.size(u)
+    # -0.0 + x == x for every float x (signed zeros too): entries are exactly d W_ij u_t.
+    return SemiSymTensor._trusted(_add_rank1(np.full((p, p, T), -0.0), d, V, u))
 
 
 def factor_inner(a: float, V: np.ndarray, u: np.ndarray, b: float, W: np.ndarray,

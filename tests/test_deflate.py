@@ -6,6 +6,7 @@ import pytest
 from sstpca.decompose import Factor, FitOptions, fit_single_factor
 from sstpca.deflate import (
     SCHEMES,
+    SCHUR_COND_LIMIT,
     deflate,
     fit_multi,
     orthogonality_report,
@@ -245,3 +246,56 @@ class TestProjectionAlgebra:
         dense = ttm(ttm(ttm(X, P, 1), P, 2), Pu, 3)
         got = deflate(X, f, "projection").data
         assert np.abs(got - dense).max() <= 1e-12 * frob_norm(X)
+
+
+class TestSchurAlgebra:
+    @pytest.mark.parametrize("p", (5, 40))
+    @pytest.mark.parametrize("r", (1, 3))
+    def test_batched_form_matches_per_slice_complements(self, p, r):
+        T = 6
+        X = psd_instance(10 * p + r, p=p, T=T)
+        rng = np.random.default_rng(10 * p + r)
+        f = Factor(u=random_unit(T, rng), V=random_stiefel(p, r, rng), d=1.0)
+        V = f.V
+        tilde = np.stack(
+            [A - A @ V @ np.linalg.solve(V.T @ A @ V, V.T @ A) for A in np.moveaxis(X.data, 2, 0)],
+            axis=-1,
+        )
+        dense = ttm(tilde, np.eye(T) - np.outer(f.u, f.u), 3)
+        got = deflate(X, f, "schur").data
+        assert np.abs(got - dense).max() <= 1e-12 * frob_norm(X)
+
+    def test_names_the_singular_slice(self):
+        # slice 2 is P A P + v v' with P = I - VV' and v the first column of V,
+        # so its block V' X_2 V is diag(1, 0) up to rounding
+        rng = np.random.default_rng(3)
+        V = random_stiefel(8, 2, rng)
+        P = np.eye(8) - V @ V.T
+        slices = [B @ B.T + np.eye(8) for B in rng.standard_normal((4, 8, 8))]
+        slices[2] = P @ slices[2] @ P + np.outer(V[:, 0], V[:, 0])
+        with pytest.raises(SingularSchurBlock) as err:
+            deflate(new_from_slices(slices), Factor(u=random_unit(4, rng), V=V, d=1.0), "schur")
+        assert err.value.slice_index == 2
+        assert err.value.cond >= SCHUR_COND_LIMIT
+        assert str(err.value).startswith("slice 2: ")
+        assert f"(condition number {err.value.cond:.3e})" in str(err.value)
+
+
+class TestInPlaceRankOneAdd:
+    def test_hotelling_bytes_equal_dense_subtraction(self):
+        X = random_instance(11)
+        f = fitted_factor(X)
+        got = deflate(X, f, "hotelling").data
+        want = SemiSymTensor(X.data - rank1_outer(f.d, f.V, f.u).data).data
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+    def test_reconstruct_bytes_equal_sum_of_factors(self):
+        X = random_instance(12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            dec = fit_multi(X, [2, 1, 1], "projection", FitOptions(max_iter=40))
+        want = np.zeros(X.shape)
+        for f in dec.factors:
+            want = want + f.reconstruct().data
+        got = reconstruct(dec, X.p, X.T).data
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))

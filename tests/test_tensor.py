@@ -332,3 +332,18 @@ class TestRopnorm:
                 lo = ropnorm_sampled_lower(X, r, 8, rng)
                 hi = ropnorm_upper_bound(X, r)
                 assert lo <= hi + 1e-12
+
+
+class TestRankOneEntries:
+    def test_entries_are_exact_products_with_signed_zeros(self):
+        rng = np.random.default_rng(13)
+        V = random_stiefel(5, 2, rng)
+        u = rng.standard_normal(4)
+        u[1] = 0.0
+        for d in (0.0, 2.5):
+            W = d * (V @ V.T)
+            W = (W + W.T) / 2
+            want = W[:, :, None] * u[None, None, :]
+            assert np.signbit(want).sum() > 0 and (want == 0).any()
+            got = rank1_outer(d, V, u).data
+            assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
