@@ -17,7 +17,7 @@ import pytest
 from sstpca.decompose import Factor
 from sstpca.deflate import deflate
 from sstpca.fileio import load_tensor, write_long_csv
-from sstpca.linalg import random_stiefel, random_unit
+from sstpca.linalg import random_stiefel, random_unit, sym
 from sstpca.tensor import SemiSymTensor
 
 P, T, R = 300, 20, 3
@@ -27,7 +27,7 @@ SEED = 20220209
 @pytest.fixture(scope="module")
 def tensor():
     rng = np.random.default_rng(SEED)
-    return SemiSymTensor(rng.standard_normal((P, P, T)), check=False)
+    return SemiSymTensor(sym(rng.standard_normal((P, P, T))))
 
 
 @pytest.fixture(scope="module")

@@ -14,8 +14,8 @@ Each case reports min and median over its rounds.
   replicate at p=1000, T=20, r=3, from the truth and a fitted factor.
 - ``test_bic_candidate_rss``: the distinct-entry RSS of one rank-3 BIC
   candidate at p=300, T=20, given the residual's own RSS.
-- ``test_validation_p300``: ``SemiSymTensor(..., check=True)`` of a
-  p=300, T=20 array.
+- ``test_validation_p300``: the validating ``SemiSymTensor(...)`` constructor
+  on a p=300, T=20 array.
 
 The fitted factors are the truth moved by a small random rotation and
 rescaling; the cost of both error evaluations does not depend on how good
@@ -86,5 +86,5 @@ def test_bic_candidate_rss(benchmark):
 def test_validation_p300(benchmark):
     A = np.random.default_rng(SEED).standard_normal((300, 300, T))
     A = A + A.transpose(1, 0, 2)
-    X = benchmark.pedantic(SemiSymTensor, args=(A,), kwargs={"check": True}, rounds=20)
+    X = benchmark.pedantic(SemiSymTensor, args=(A,), rounds=20)
     assert np.array_equal(X.data, A)

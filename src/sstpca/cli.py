@@ -38,7 +38,7 @@ from ._parallel import resolve_threads
 from .changepoint import detect_changepoint, detection_snr
 from .decompose import FitOptions, fit_single_factor
 from .deflate import SCHEMES, fit_multi
-from .errors import ParseError, SSTPCAError
+from .errors import InvalidParameter, ParseError, SSTPCAError
 from .fileio import (
     FORMATS,
     SCHEMA_VERSION,
@@ -266,15 +266,17 @@ def _simulate_spike(cfg: SimpleNamespace) -> dict:
 def _simulate_shift(cfg: SimpleNamespace) -> dict:
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     tau = cfg.tau if cfg.tau is not None else cfg.T // 2
+    if not 1 <= tau <= cfg.T - 1:
+        raise InvalidParameter(f"--tau must lie in 1..T-1 = 1..{cfg.T - 1}, got {tau}")
     V1 = random_stiefel(cfg.p, cfg.r, rng)
     V2 = random_stiefel(cfg.p, cfg.r, rng)
     M1 = cfg.d * (V1 @ V1.T)
     M2 = cfg.d * (V2 @ V2.T)
     noise = goe_noise(cfg.p, cfg.T, cfg.sigma, rng)
-    cut = max(tau, 0)  # slices t < tau have mean M1; a negative bound would count from the end
-    noise[:, :, :cut] += M1[:, :, None]
-    noise[:, :, cut:] += M2[:, :, None]
-    X = SemiSymTensor(noise, check=False)
+    noise[:, :, :tau] += M1[:, :, None]
+    noise[:, :, tau:] += M2[:, :, None]
+    # GOE noise plus d VV' (bit-symmetric from numpy's A @ A.T) is exactly symmetric.
+    X = SemiSymTensor._trusted(noise)
     if cfg.data_out:
         write_long_csv(X, cfg.data_out)
     return {
@@ -307,8 +309,7 @@ def _simulate_fig3(cfg: SimpleNamespace) -> dict:
             # Constant truth with a random positive-orthant start, so the
             # initialization is informative but not an oracle.
             u0 = random_unit(cfg.T, rng, positive=True)
-            opts = FitOptions(rank=r, max_iter=cfg.max_iter, tol=cfg.tol,
-                              init=u0, track_iterates=True)
+            opts = FitOptions(rank=r, max_iter=cfg.max_iter, tol=cfg.tol, init=u0)
             factor, diag = fit_single_factor(X, opts)
             _, final_armse = procrustes_aligned_rmse(factor.V, truth.V_star)
             final_armses.append(final_armse)

@@ -57,7 +57,6 @@ class FitOptions:
     seed: "int | None" = None  # drives init="random"
     eigen_scaled: bool = False
     smoother: "np.ndarray | None" = None
-    track_iterates: bool = False
 
     def with_rank(self, r: int) -> "FitOptions":
         return replace(self, rank=r)
@@ -69,8 +68,8 @@ class FitDiagnostics:
     objective: list = field(default_factory=list)
     u_change: list = field(default_factory=list)
     converged: bool = False
-    u_trace: "list | None" = None
-    V_trace: "list | None" = None
+    u_trace: list = field(default_factory=list)
+    V_trace: list = field(default_factory=list)
 
 
 def init_u(init, T: int, rng: "np.random.Generator | None" = None) -> np.ndarray:
@@ -191,7 +190,10 @@ def fit_single_factor(
 ) -> tuple[Factor, FitDiagnostics]:
     """Alternating fit of one factor.
 
-    Stops when both the u-change and the V subspace change drop below tol.
+    Stops when both the u-change and the V change (`sin_theta_frob` of two
+    consecutive bases) drop below tol. Below about 1e-7 the V change reads
+    either its rounding floor, about sqrt(r eps) (2.6e-8 at r=3), or exactly
+    0, so at the default tol 1e-8 rounding decides when a converged fit stops.
     Hitting max_iter is flagged (diagnostics.converged False, plus a
     DidNotConvergeWarning) but still returns the last iterate; partial
     iterates are statistically useful.
@@ -209,12 +211,6 @@ def fit_single_factor(
     S = None if opts.smoother is None else np.asarray(opts.smoother, dtype=np.float64)
 
     diag = FitDiagnostics()
-    if opts.track_iterates:
-        diag.u_trace, diag.V_trace = [], []
-
-    V = None
-    prev_V = None
-    obj = 0.0
     for k in range(opts.max_iter):
         E_V, e_u = _perturb(k) if _perturb is not None else (None, None)
 
@@ -234,16 +230,14 @@ def fit_single_factor(
         u_change = float(np.linalg.norm(u_new - u))
         diag.objective.append(obj)
         diag.u_change.append(u_change)
-        if opts.track_iterates:
-            diag.u_trace.append(u_new.copy())
-            diag.V_trace.append(V.copy())
+        diag.u_trace.append(u_new.copy())
+        diag.V_trace.append(V.copy())
         diag.iterations = k + 1
 
         v_change = np.inf
-        if prev_V is not None:
-            v_change = sin_theta_frob(_column_normalized(V), _column_normalized(prev_V))
+        if k > 0:
+            v_change = sin_theta_frob(_column_normalized(V), _column_normalized(diag.V_trace[-2]))
         u = u_new
-        prev_V = V
         if u_change < opts.tol and v_change < opts.tol:
             diag.converged = True
             break

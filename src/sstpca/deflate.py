@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decompose import Factor, FitOptions, fit_single_factor
-from .errors import DimensionMismatch, SingularSchurBlock, SSTPCAError
+from .errors import DimensionMismatch, NonFiniteEntry, SingularSchurBlock, SSTPCAError
+from .linalg import sym
 from .tensor import SemiSymTensor, _add_rank1, frob_norm, ttm, ttv3
 from .tensor import new_from_slices  # noqa: F401  (perfbench times deflate.new_from_slices)
 
@@ -77,6 +78,8 @@ def _check_factor_dims(X: SemiSymTensor, f: Factor) -> None:
 def deflate(X: SemiSymTensor, f: Factor, scheme: str) -> SemiSymTensor:
     """Remove a fitted factor from X under the given scheme."""
     _check_factor_dims(X, f)
+    if not (np.isfinite(f.d) and np.isfinite(f.u).all() and np.isfinite(f.V).all()):
+        raise NonFiniteEntry("factor contains NaN or infinite entries")
     if scheme == "hotelling":
         out = _add_rank1(X.data.copy(), -f.d, f.V, f.u)
     elif scheme in ("projection", "schur"):
@@ -99,13 +102,13 @@ def deflate(X: SemiSymTensor, f: Factor, scheme: str) -> SemiSymTensor:
             slices = slices - XV @ np.linalg.solve(blocks, np.swapaxes(XV, 1, 2))
         # Then (I - uu') along the slice mode.
         slices = slices - f.u[:, None, None] * np.tensordot(f.u, slices, axes=1)
-        # Back to C order: einsum sums in memory order, so a (T, p, p)-major
-        # residual would change later fits in the last bits.
-        out = np.ascontiguousarray(np.moveaxis(slices, 0, 2))
+        # Back to C order before symmetrizing: einsum sums in memory order, so
+        # a (T, p, p)-major residual would change later fits in the last bits.
+        out = sym(np.ascontiguousarray(np.moveaxis(slices, 0, 2)))
     else:
         raise DimensionMismatch(f"unknown deflation scheme {scheme!r}")
-    # Revalidate so floating-point asymmetry cannot accumulate over steps.
-    return SemiSymTensor(out)
+    # For a finite factor every scheme's residual is finite and exactly symmetric.
+    return SemiSymTensor._trusted(out)
 
 
 def orthogonality_report(X_next: SemiSymTensor, f: Factor) -> OrthogonalityReport:

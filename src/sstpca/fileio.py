@@ -169,7 +169,8 @@ def _load_long_csv(path: Path) -> SemiSymTensor:
     keep = order[first]
     data[a[keep], b[keep], slot[keep]] = w[keep]
     data[b[keep], a[keep], slot[keep]] = w[keep]
-    return SemiSymTensor(data)
+    # Finite weights, each written to (a, b) and (b, a): exactly symmetric.
+    return SemiSymTensor._trusted(data)
 
 
 def load_tensor(path, fmt: str) -> SemiSymTensor:

@@ -247,7 +247,7 @@ def _run_rep(cell: SweepCell, seed_seq, max_iter: int, tol: float):
         init = "stable"
     else:
         raise InvalidParameter(f"unknown init scheme {cell.init!r}")
-    opts = FitOptions(rank=cell.r, max_iter=max_iter, tol=tol, init=init, track_iterates=True)
+    opts = FitOptions(rank=cell.r, max_iter=max_iter, tol=tol, init=init)
     factor, diag = fit_single_factor(X, opts)
     u_err = sign_aligned_error(factor.u, truth.u_star) / np.sqrt(cell.T)
     _, armse = procrustes_aligned_rmse(factor.V, truth.V_star)

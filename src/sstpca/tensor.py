@@ -24,39 +24,40 @@ SYMMETRY_ABS_FLOOR = 1e-12
 
 
 class SemiSymTensor:
-    """Immutable stack of symmetric matrices, shape (p, p, T)."""
+    """Immutable stack of symmetric matrices, shape (p, p, T).
+
+    Outside data goes through the constructor, which checks it and symmetrizes
+    it into a new array; arrays the package built go through `_trusted`.
+    """
 
     __slots__ = ("data",)
 
-    def __init__(self, data: np.ndarray, check: bool = True):
+    def __init__(self, data: np.ndarray):
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 3 or data.shape[0] != data.shape[1]:
             raise DimensionMismatch(f"expected (p, p, T) array, got shape {data.shape}")
         if data.shape[0] < 1 or data.shape[2] < 1:
             raise DimensionMismatch("p and T must both be at least 1")
-        if check:
-            if not np.isfinite(data).all():
-                raise NonFiniteEntry("tensor contains NaN or infinite entries")
-            asym = np.abs(data - data.transpose(1, 0, 2)).max()
-            scale = np.abs(data).max()
-            tol = max(SYMMETRY_REL_TOL * scale, SYMMETRY_ABS_FLOOR)
-            if asym > tol:
-                raise AsymmetricSlice(
-                    f"max asymmetry {asym:.3e} exceeds tolerance {tol:.3e}"
-                )
-        # Symmetrize so downstream eigensolvers see exactly symmetric slices;
-        # sym returns a new array, so the caller's array is never aliased.
-        data = sym(data)
+        if not np.isfinite(data).all():
+            raise NonFiniteEntry("tensor contains NaN or infinite entries")
+        asym = np.abs(data - data.transpose(1, 0, 2)).max()
+        scale = np.abs(data).max()
+        tol = max(SYMMETRY_REL_TOL * scale, SYMMETRY_ABS_FLOOR)
+        if asym > tol:
+            raise AsymmetricSlice(
+                f"max asymmetry {asym:.3e} exceeds tolerance {tol:.3e}"
+            )
+        data = sym(data)  # downstream eigensolvers see exactly symmetric slices
         data.setflags(write=False)
         self.data = data
 
     @classmethod
     def _trusted(cls, data: np.ndarray) -> "SemiSymTensor":
-        """Wrap an exactly symmetric float64 (p, p, T) array as is.
+        """Wrap a float64 (p, p, T) array the package built, as is.
 
-        No copy, symmetrization or check: the caller guarantees that every
-        slice equals its transpose bit for bit (so sym would return the same
-        bytes) and hands the array over; it is made read-only in place.
+        No copy, symmetrization or check: the caller guarantees finite entries
+        and slices equal to their transposes bit for bit (so sym would return
+        the same bytes) and hands the array over; it is made read-only in place.
         """
         data.setflags(write=False)
         X = cls.__new__(cls)
@@ -131,7 +132,7 @@ def new_from_slices(slices) -> SemiSymTensor:
             raise DimensionMismatch(
                 f"slice {t} has shape {m.shape}, expected {first}"
             )
-    return SemiSymTensor(np.stack(mats, axis=-1), check=True)
+    return SemiSymTensor(np.stack(mats, axis=-1))
 
 
 def ttv3(X, u: np.ndarray) -> np.ndarray:

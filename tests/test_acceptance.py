@@ -26,6 +26,7 @@ from sstpca.linalg import (
     random_stiefel,
     random_unit,
     sign_aligned_error,
+    sym,
     sym_eigen_top_r,
 )
 from sstpca.simulate import (
@@ -161,7 +162,7 @@ def test_criterion_4_statistical_vs_computational():
             X, truth = spike_model(p, T, r, d, sigma, "constant", rng)
             u0 = random_unit(T, rng, positive=True)
             factor, diag = quiet_fit(
-                X, FitOptions(rank=r, init=u0, max_iter=1000, track_iterates=True)
+                X, FitOptions(rank=r, init=u0, max_iter=1000)
             )
             _, final = procrustes_aligned_rmse(factor.V, truth.V_star)
             stat_by_8 = any(
@@ -250,7 +251,7 @@ def test_criterion_6_deflation_orthogonality():
         rng = np.random.default_rng(9000 + s)
         p, T = 8, 5
         if s % 2 == 0:
-            X = SemiSymTensor(rng.standard_normal((p, p, T)), check=False)
+            X = SemiSymTensor(sym(rng.standard_normal((p, p, T))))
         else:
             slices = []
             for _ in range(T):
@@ -309,7 +310,7 @@ def test_criterion_7_opnorm_bounds():
     for _ in range(1000):
         p = int(rng.integers(6, 17))
         T = int(rng.integers(3, 9))
-        E = SemiSymTensor(goe_noise(p, T, 1.0, rng), check=False)
+        E = SemiSymTensor(sym(goe_noise(p, T, 1.0, rng)))
         for r in (1, 2, 5):
             lo = ropnorm_sampled_lower(E, r, 4, rng)
             hi = ropnorm_upper_bound(E, r)
@@ -339,12 +340,12 @@ def test_criterion_8_changepoint():
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = detect_changepoint(SemiSymTensor(data, check=False), r)
+            res = detect_changepoint(SemiSymTensor(sym(data)), r)
         within_one += abs(res.tau_hat - tau_star) <= 1
     # constant series: exactly zero transform and a degenerate-series error
     rng = np.random.default_rng(0)
     A = rng.standard_normal((p, p))
-    const = SemiSymTensor(np.repeat(((A + A.T) / 2)[:, :, None], 8, axis=2), check=False)
+    const = SemiSymTensor(sym(np.repeat(((A + A.T) / 2)[:, :, None], 8, axis=2)))
     cusum_zero = np.abs(cusum_tensor(const).data).max() == 0.0
     degenerate = False
     try:

@@ -6,7 +6,7 @@ import pytest
 from sstpca.changepoint import cusum_tensor, detect_changepoint, detection_snr
 from sstpca.decompose import FitOptions
 from sstpca.errors import DegenerateSeries, TooFewSlices
-from sstpca.linalg import random_stiefel, sign_aligned_error
+from sstpca.linalg import random_stiefel, sign_aligned_error, sym
 from sstpca.tensor import SemiSymTensor, new_from_slices
 
 
@@ -14,7 +14,7 @@ def constant_series(T=8, p=5, seed=0):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((p, p))
     A = A + A.T
-    return SemiSymTensor(np.repeat(A[:, :, None], T, axis=2), check=False)
+    return SemiSymTensor(sym(np.repeat(A[:, :, None], T, axis=2)))
 
 
 def shift_series(tau, T=12, p=8, d=6.0, seed=1):
@@ -23,7 +23,7 @@ def shift_series(tau, T=12, p=8, d=6.0, seed=1):
     V2 = random_stiefel(p, 1, rng)
     M1, M2 = d * (V1 @ V1.T), d * (V2 @ V2.T)
     data = np.stack([(M1 if t < tau else M2) for t in range(T)], axis=-1)
-    return SemiSymTensor(data, check=False), M1, M2
+    return SemiSymTensor(sym(data)), M1, M2
 
 
 def cusum_oracle(X, t):
@@ -53,7 +53,7 @@ class TestCusumTensor:
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(3)
-        X = SemiSymTensor(rng.standard_normal((5, 5, 7)), check=False)
+        X = SemiSymTensor(sym(rng.standard_normal((5, 5, 7))))
         C = cusum_tensor(X)
         for t in range(1, X.T):
             assert np.allclose(C.slice(t - 1), cusum_oracle(X, t), atol=1e-12)
@@ -74,18 +74,18 @@ class TestCusumTensor:
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(4)
-        X = SemiSymTensor(rng.standard_normal((5, 5, 6)), check=False)
+        X = SemiSymTensor(sym(rng.standard_normal((5, 5, 6))))
         K = rng.standard_normal((5, 5))
         K = K + K.T
-        shifted = SemiSymTensor(X.data + K[:, :, None], check=False)
+        shifted = SemiSymTensor(sym(X.data + K[:, :, None]))
         assert np.allclose(
             cusum_tensor(X).data, cusum_tensor(shifted).data, atol=1e-10
         )
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(5)
-        X = SemiSymTensor(rng.standard_normal((5, 5, 6)), check=False)
-        scaled = SemiSymTensor(3.5 * X.data, check=False)
+        X = SemiSymTensor(sym(rng.standard_normal((5, 5, 6))))
+        scaled = SemiSymTensor(sym(3.5 * X.data))
         assert np.allclose(cusum_tensor(scaled).data, 3.5 * cusum_tensor(X).data)
 
 
@@ -108,7 +108,7 @@ class TestDetect:
     def test_time_reversal(self):
         tau = 4
         X, _, _ = shift_series(tau, T=12)
-        rev = SemiSymTensor(X.data[:, :, ::-1], check=False)
+        rev = SemiSymTensor(sym(X.data[:, :, ::-1]))
         res_f = detect_changepoint(X, 1)
         res_b = detect_changepoint(rev, 1)
         assert res_b.tau_hat == X.T - res_f.tau_hat
@@ -116,7 +116,7 @@ class TestDetect:
     def test_scaling_leaves_result(self):
         tau = 5
         X, _, _ = shift_series(tau, T=10)
-        scaled = SemiSymTensor(7.0 * X.data, check=False)
+        scaled = SemiSymTensor(sym(7.0 * X.data))
         r1, r2 = detect_changepoint(X, 1), detect_changepoint(scaled, 1)
         assert r1.tau_hat == r2.tau_hat
         assert sign_aligned_error(r1.u_hat, r2.u_hat) < 1e-8
@@ -138,7 +138,7 @@ class TestDetect:
             [d * ((V1 if t < tau else V2) @ (V1 if t < tau else V2).T) for t in range(T)],
             axis=-1,
         )
-        res = detect_changepoint(SemiSymTensor(data, check=False), 2)
+        res = detect_changepoint(SemiSymTensor(sym(data)), 2)
         assert res.tau_hat == tau
 
     def test_deterministic(self):
@@ -146,7 +146,7 @@ class TestDetect:
         rng = np.random.default_rng(8)
         X, _, _ = shift_series(tau, T=10)
         noise = rng.standard_normal((8, 8, 10))
-        noisy = SemiSymTensor(X.data + 0.1 * (noise + noise.transpose(1, 0, 2)), check=False)
+        noisy = SemiSymTensor(sym(X.data + 0.1 * (noise + noise.transpose(1, 0, 2))))
         opts = FitOptions(max_iter=100)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -276,6 +276,20 @@ class TestSimulateCommand:
         payload = json.loads(out.read_text())
         assert "per_rank" in payload["results"]
 
+    @pytest.mark.parametrize(
+        "shape", [["--t", "6", "--tau", t] for t in ("-2", "0", "6", "15")] + [["--t", "1"]],
+        ids=["tau-2", "tau0", "tauT", "tau15", "T1-default"],
+    )
+    def test_shift_tau_outside_1_to_T_minus_1_is_input_error(self, tmp_path, runner, shape):
+        out, data = tmp_path / "shift.json", tmp_path / "shift.csv"
+        result = runner.invoke(main, [
+            "simulate", "--preset", "shift", "--p", "10", *shape,
+            "--data-out", str(data), "--output", str(out),
+        ], catch_exceptions=False)
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: --tau must lie in 1..T-1")
+        assert not out.exists() and not data.exists()
+
     def test_spike_truth_schema(self, tmp_path, runner, spike_csv):
         _, truth = spike_csv
         res = json.loads(truth.read_text())["results"]

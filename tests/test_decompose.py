@@ -25,6 +25,7 @@ from sstpca.linalg import (
     sign_aligned_error,
     sin_theta_frob,
     subspace_angle,
+    sym,
 )
 from sstpca.simulate import goe_noise, spike_model
 from sstpca.tensor import SemiSymTensor, new_from_slices, rank1_outer, trace_product
@@ -166,7 +167,7 @@ class TestFitSingleFactor:
         rng = np.random.default_rng(8)
         for trial in range(40):
             p, T, r = 7, 5, 1 + trial % 3
-            X = SemiSymTensor(rng.standard_normal((p, p, T)), check=False)
+            X = SemiSymTensor(sym(rng.standard_normal((p, p, T))))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 _, diag = fit_single_factor(X, FitOptions(rank=r, max_iter=40))
@@ -180,7 +181,7 @@ class TestFitSingleFactor:
             V = random_stiefel(p, r, rng)
             u = random_unit(T, rng)
             data = rank1_outer(3.0, V, u).data + goe_noise(p, T, 1.0, rng)
-            X = SemiSymTensor(data, check=False)
+            X = SemiSymTensor(sym(data))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 _, diag = fit_single_factor(X, FitOptions(rank=r, max_iter=40))
@@ -191,10 +192,10 @@ class TestFitSingleFactor:
         rng = np.random.default_rng(10)
         p, T, r = 9, 6, 2
         data = rank1_outer(3.0, random_stiefel(p, r, rng), random_unit(T, rng)).data
-        X = SemiSymTensor(data + goe_noise(p, T, 0.3, rng), check=False)
+        X = SemiSymTensor(sym(data + goe_noise(p, T, 0.3, rng)))
         Q = random_stiefel(p, p, rng)
         rotated = np.einsum("ij,jkt,lk->ilt", Q, X.data, Q)
-        X_rot = SemiSymTensor(rotated, check=False)
+        X_rot = SemiSymTensor(sym(rotated))
         opts = FitOptions(rank=r, init="stable")
         f1, _ = fit_single_factor(X, opts)
         f2, _ = fit_single_factor(X_rot, opts)
@@ -205,7 +206,7 @@ class TestFitSingleFactor:
     def test_did_not_converge_flagged(self):
         rng = np.random.default_rng(11)
         data = goe_noise(10, 8, 1.0, rng)
-        X = SemiSymTensor(data, check=False)
+        X = SemiSymTensor(sym(data))
         with pytest.warns(DidNotConvergeWarning):
             f, diag = fit_single_factor(X, FitOptions(rank=1, max_iter=2))
         assert not diag.converged
@@ -216,7 +217,7 @@ class TestFitSingleFactor:
         rng = np.random.default_rng(12)
         p, T, r = 8, 6, 1
         data = rank1_outer(4.0, random_stiefel(p, r, rng), random_unit(T, rng)).data
-        X = SemiSymTensor(data + goe_noise(p, T, 0.2, rng), check=False)
+        X = SemiSymTensor(sym(data + goe_noise(p, T, 0.2, rng)))
         # second-difference roughness penalty, shifted to satisfy S >= I
         D = np.diff(np.eye(T), n=2, axis=0)
         S = np.eye(T) + 2.0 * (D.T @ D)
@@ -240,7 +241,7 @@ class TestFitSingleFactor:
     def test_track_iterates(self):
         rng = np.random.default_rng(14)
         X, _, _ = noiseless_instance(rng)
-        _, diag = fit_single_factor(X, FitOptions(rank=2, track_iterates=True))
+        _, diag = fit_single_factor(X, FitOptions(rank=2))
         assert len(diag.u_trace) == diag.iterations
         assert len(diag.V_trace) == diag.iterations
 

@@ -13,8 +13,14 @@ from sstpca.deflate import (
     reconstruct,
     slices_all_psd,
 )
-from sstpca.errors import DimensionMismatch, SingularSchurBlock
-from sstpca.linalg import procrustes_aligned_rmse, random_stiefel, random_unit, sign_aligned_error
+from sstpca.errors import DimensionMismatch, NonFiniteEntry, SingularSchurBlock
+from sstpca.linalg import (
+    procrustes_aligned_rmse,
+    random_stiefel,
+    random_unit,
+    sign_aligned_error,
+    sym,
+)
 from sstpca.tensor import SemiSymTensor, frob_norm, new_from_slices, rank1_outer, ttm, ttv3
 
 
@@ -27,7 +33,7 @@ def fitted_factor(X, r=2, max_iter=60):
 
 def random_instance(seed, p=9, T=6):
     rng = np.random.default_rng(seed)
-    return SemiSymTensor(rng.standard_normal((p, p, T)), check=False)
+    return SemiSymTensor(sym(rng.standard_normal((p, p, T))))
 
 
 def psd_instance(seed, p=9, T=6):
@@ -54,7 +60,7 @@ def two_factor_instance(T=6, p=10, r1=2, r2=2, d1=10.0, d2=5.0):
     assert np.all(np.abs(u1) > 1e-3) and np.all(np.abs(u2) > 1e-3)
     assert abs(u2.sum()) > 1e-3  # visible from the constant start
     X = SemiSymTensor(
-        rank1_outer(d1, V1, u1).data + rank1_outer(d2, V2, u2).data, check=False
+        sym(rank1_outer(d1, V1, u1).data + rank1_outer(d2, V2, u2).data)
     )
     return X, (V1, u1, d1), (V2, u2, d2)
 
@@ -239,7 +245,7 @@ class TestProjectionAlgebra:
     def test_low_rank_form_matches_dense_products(self, p, r):
         T = 6
         rng = np.random.default_rng(10 * p + r)
-        X = SemiSymTensor(rng.standard_normal((p, p, T)), check=False)
+        X = SemiSymTensor(sym(rng.standard_normal((p, p, T))))
         f = Factor(u=random_unit(T, rng), V=random_stiefel(p, r, rng), d=1.0)
         P = np.eye(p) - f.V @ f.V.T
         Pu = np.eye(T) - np.outer(f.u, f.u)
@@ -299,3 +305,20 @@ class TestInPlaceRankOneAdd:
             want = want + f.reconstruct().data
         got = reconstruct(dec, X.p, X.T).data
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+class TestNonFiniteFactor:
+    """deflate wraps its residual unchecked, so it rejects a non-finite factor up front."""
+
+    @pytest.mark.parametrize("part", ["d", "u", "V"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_nan_is_rejected(self, scheme, part):
+        rng = np.random.default_rng(21)
+        X = psd_instance(21)
+        f = Factor(u=random_unit(X.T, rng), V=random_stiefel(X.p, 2, rng), d=1.0)
+        if part == "d":
+            f.d = np.nan
+        else:
+            getattr(f, part)[1] = np.nan
+        with pytest.raises(NonFiniteEntry):
+            deflate(X, f, scheme)

