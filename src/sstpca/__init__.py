@@ -17,7 +17,6 @@ from .decompose import (
     fit_single_factor,
     init_u,
     u_update,
-    u_update_smoothed,
     v_update,
 )
 from .deflate import (
@@ -50,7 +49,6 @@ from .simulate import (
 )
 from .tensor import (
     SemiSymTensor,
-    UpperTriMatrix,
     frob_inner,
     frob_norm,
     matricize_upper,

@@ -44,7 +44,7 @@ def matricized_pca(X: SemiSymTensor) -> tuple[np.ndarray, np.ndarray, float]:
     Sign convention: largest-magnitude entry of v positive, with u flipped
     alongside so u s v' still approximates the data matrix.
     """
-    M = matricize_upper(X).values
+    M = matricize_upper(X)
     if not np.any(M):
         raise DegenerateMatrix("matricized tensor is identically zero")
     U, s, Vt = np.linalg.svd(M, full_matrices=False)

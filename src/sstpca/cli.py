@@ -188,8 +188,8 @@ _U_MODE = click.option("--u-mode", default="sphere",
 def decompose(cfg: SimpleNamespace):
     """Fit a multi-factor decomposition to a tensor read from disk."""
     X = load_tensor(cfg.input, cfg.format)
-    opts = FitOptions(max_iter=cfg.max_iter, tol=cfg.tol, init=cfg.init, seed=cfg.seed,
-                      eigen_scaled=cfg.eigen_scaled)
+    init = "stable" if cfg.init == "stable" else random_unit(X.T, np.random.default_rng(cfg.seed))
+    opts = FitOptions(max_iter=cfg.max_iter, tol=cfg.tol, init=init, eigen_scaled=cfg.eigen_scaled)
     dec = fit_multi(X, cfg.ranks, cfg.scheme, opts)
     results = {
         "p": X.p,
@@ -226,7 +226,7 @@ def decompose(cfg: SimpleNamespace):
 def changepoint(cfg: SimpleNamespace):
     """Locate the most likely mean shift in a network series."""
     X = load_tensor(cfg.input, cfg.format)
-    opts = FitOptions(max_iter=cfg.max_iter, tol=cfg.tol, init="stable", seed=cfg.seed)
+    opts = FitOptions(max_iter=cfg.max_iter, tol=cfg.tol)
     res = detect_changepoint(X, cfg.rank, opts)
     results = {
         "p": X.p,
@@ -401,7 +401,7 @@ def _finite(x):
 def rank_select(cfg: SimpleNamespace):
     """Choose factor ranks greedily by BIC."""
     X = load_tensor(cfg.input, cfg.format)
-    opts = FitOptions(max_iter=cfg.max_iter, tol=cfg.tol, init="stable", seed=cfg.seed)
+    opts = FitOptions(max_iter=cfg.max_iter, tol=cfg.tol)
     ranks, steps = rank_select_bic_trace(X, cfg.r_max, cfg.k_max, opts, cfg.scheme)
     results = {
         "p": X.p,

@@ -40,23 +40,25 @@ class Factor:
     V: np.ndarray
     d: float
 
-    @property
-    def rank(self) -> int:
-        return self.V.shape[1]
-
     def reconstruct(self) -> SemiSymTensor:
         return rank1_outer(self.d, self.V, self.u)
 
 
 @dataclass(frozen=True)
 class FitOptions:
+    """Settings of one fit. `init` is "stable" or a unit T-vector, such as
+    `random_unit(T, rng)` for a random start; other names raise InvalidGivenInit."""
+
     rank: int = 1
     max_iter: int = 200
     tol: float = 1e-8
-    init: "str | np.ndarray" = "stable"  # "stable" | "random" | explicit u0
-    seed: "int | None" = None  # drives init="random"
+    init: "str | np.ndarray" = "stable"
     eigen_scaled: bool = False
     smoother: "np.ndarray | None" = None
+
+    def __post_init__(self):
+        if isinstance(self.init, str):
+            init_u(self.init, 1)  # rejects unknown scheme names
 
     def with_rank(self, r: int) -> "FitOptions":
         return replace(self, rank=r)
@@ -72,16 +74,12 @@ class FitDiagnostics:
     V_trace: list = field(default_factory=list)
 
 
-def init_u(init, T: int, rng: "np.random.Generator | None" = None) -> np.ndarray:
-    """Initial loading vector: stable (constant), random sphere, or given."""
+def init_u(init, T: int) -> np.ndarray:
+    """Initial loading vector: "stable" (constant 1/sqrt(T)) or a given unit T-vector."""
     if isinstance(init, str):
-        if init == "stable":
-            return np.full(T, 1.0 / np.sqrt(T))
-        if init == "random":
-            if rng is None:
-                rng = np.random.default_rng()
-            return normalize(rng.standard_normal(T))
-        raise InvalidGivenInit(f"unknown init scheme {init!r}")
+        if init != "stable":
+            raise InvalidGivenInit(f"unknown init scheme {init!r}")
+        return np.full(T, 1.0 / np.sqrt(T))
     u0 = np.asarray(init, dtype=np.float64).ravel()
     if u0.shape[0] != T:
         raise DimensionMismatch(f"initial u has length {u0.shape[0]}, expected {T}")
@@ -135,7 +133,10 @@ def v_update(X, u: np.ndarray, r: int, eigen_scaled: bool = False):
     return _best_eigen_block(M, r, eigen_scaled)
 
 
-def _smoothed_direction(x: np.ndarray, S: np.ndarray) -> np.ndarray:
+def _loading(x: np.ndarray, S: "np.ndarray | None") -> np.ndarray:
+    """x / ||x||, or under a smoother S the solution of S y = x scaled to y' S y = 1."""
+    if S is None:
+        return normalize(x)
     if float(np.linalg.norm(x)) < 1e-14:
         raise ZeroVector("trace-product is numerically zero")
     try:
@@ -148,18 +149,10 @@ def _smoothed_direction(x: np.ndarray, S: np.ndarray) -> np.ndarray:
     return y / np.sqrt(quad)
 
 
-def u_update(X, V: np.ndarray) -> np.ndarray:
-    """Unit vector in the direction of the trace-product."""
-    return normalize(trace_product(X, V))
-
-
-def u_update_smoothed(X, V: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Smoothed loading update satisfying u' S u = 1.
-
-    Solves S y = [X; V] rather than forming the inverse; reduces exactly
-    to the plain update at S = I.
-    """
-    return _smoothed_direction(trace_product(X, V), np.asarray(S, dtype=np.float64))
+def u_update(X, V: np.ndarray, S: "np.ndarray | None" = None) -> np.ndarray:
+    """Loading update: the unit trace-product [X; V], or under a smoother S the
+    solution of S y = [X; V] scaled to u' S u = 1 (at S = I, the plain update)."""
+    return _loading(trace_product(X, V), S)
 
 
 def _validate_options(X: SemiSymTensor, opts: FitOptions) -> None:
@@ -200,15 +193,15 @@ def fit_single_factor(
 
     `_perturb`, when given, is called once per iteration and returns a
     symmetric matrix added to the V-update target and a vector added to the
-    u-update target; it backs the adversarial-noise harness.
+    u-update target; it backs the adversarial-noise harness. So the loop runs
+    the steps of v_update and u_update, `_best_eigen_block` and `_loading`,
+    rather than calling them; the objective uses the unperturbed trace-product.
     """
     _validate_options(X, opts)
     if frob_norm(X) == 0.0:
         raise DegenerateIterate("input tensor is identically zero")
 
-    rng = np.random.default_rng(opts.seed) if opts.seed is not None else None
-    u = init_u(opts.init, X.T, rng)
-    S = None if opts.smoother is None else np.asarray(opts.smoother, dtype=np.float64)
+    u = init_u(opts.init, X.T)
 
     diag = FitDiagnostics()
     for k in range(opts.max_iter):
@@ -222,7 +215,7 @@ def fit_single_factor(
         x = trace_product(X, V)
         target = x + e_u if (e_u is not None and np.any(e_u)) else x
         try:
-            u_new = _smoothed_direction(target, S) if S is not None else normalize(target)
+            u_new = _loading(target, opts.smoother)
         except ZeroVector as e:
             raise DegenerateIterate("loading update target is numerically zero") from e
 

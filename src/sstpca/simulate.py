@@ -261,6 +261,17 @@ def _run_rep(cell: SweepCell, seed_seq, max_iter: int, tol: float):
     )
 
 
+# (metric, mean field, SD field or None) in _run_rep's tuple order: rep column k is metric k.
+_SWEEP_METRICS = (
+    ("u_err", "u_err_mean", "u_err_sd"),
+    ("armse", "armse_mean", "armse_sd"),
+    ("recon_err", "recon_err_mean", "recon_err_sd"),
+    ("iters_to_stat", "iters_to_stat_mean", None),
+    ("iterations", "iterations_mean", None),
+    ("converged_frac", "converged_frac", None),
+)
+
+
 def rate_sweep(
     cells,
     reps: int,
@@ -293,32 +304,13 @@ def rate_sweep(
                 lambda s, c=cell: _run_rep(c, s, max_iter, tol), rep_seeds, n_threads
             )
         arr = np.asarray(rows)
-        results.append(
-            SweepResult(
-                cell=cell,
-                reps=reps,
-                u_err_mean=float(arr[:, 0].mean()),
-                u_err_sd=float(arr[:, 0].std(ddof=1)) if reps > 1 else 0.0,
-                armse_mean=float(arr[:, 1].mean()),
-                armse_sd=float(arr[:, 1].std(ddof=1)) if reps > 1 else 0.0,
-                recon_err_mean=float(arr[:, 2].mean()),
-                recon_err_sd=float(arr[:, 2].std(ddof=1)) if reps > 1 else 0.0,
-                iters_to_stat_mean=float(arr[:, 3].mean()),
-                iterations_mean=float(arr[:, 4].mean()),
-                converged_frac=float(arr[:, 5].mean()),
-            )
-        )
+        stats = {}
+        for k, (_, mean_attr, sd_attr) in enumerate(_SWEEP_METRICS):
+            stats[mean_attr] = float(arr[:, k].mean())
+            if sd_attr:
+                stats[sd_attr] = float(arr[:, k].std(ddof=1)) if reps > 1 else 0.0
+        results.append(SweepResult(cell=cell, reps=reps, **stats))
     return results
-
-
-_SWEEP_METRICS = (
-    ("u_err", "u_err_mean", "u_err_sd"),
-    ("armse", "armse_mean", "armse_sd"),
-    ("recon_err", "recon_err_mean", "recon_err_sd"),
-    ("iters_to_stat", "iters_to_stat_mean", None),
-    ("iterations", "iterations_mean", None),
-    ("converged_frac", "converged_frac", None),
-)
 
 
 def sweep_rows(results) -> list:

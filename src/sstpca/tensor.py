@@ -7,8 +7,6 @@ as a dense (p, p, T) array. All operations treat the last axis as the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -40,14 +38,19 @@ class SemiSymTensor:
             raise DimensionMismatch("p and T must both be at least 1")
         if not np.isfinite(data).all():
             raise NonFiniteEntry("tensor contains NaN or infinite entries")
-        asym = np.abs(data - data.transpose(1, 0, 2)).max()
+        with np.errstate(over="ignore"):  # a difference that overflows reads inf
+            asym = np.abs(data - data.transpose(1, 0, 2)).max()
         scale = np.abs(data).max()
         tol = max(SYMMETRY_REL_TOL * scale, SYMMETRY_ABS_FLOOR)
         if asym > tol:
             raise AsymmetricSlice(
                 f"max asymmetry {asym:.3e} exceeds tolerance {tol:.3e}"
             )
-        data = sym(data)  # downstream eigensolvers see exactly symmetric slices
+        try:
+            with np.errstate(over="raise"):
+                data = sym(data)  # downstream eigensolvers see exactly symmetric slices
+        except FloatingPointError as e:
+            raise NonFiniteEntry("symmetrizing overflows: entries above about 8.99e307") from e
         data.setflags(write=False)
         self.data = data
 
@@ -81,33 +84,6 @@ class SemiSymTensor:
 
     def __repr__(self):
         return f"SemiSymTensor(p={self.p}, T={self.T})"
-
-
-@dataclass(frozen=True)
-class UpperTriMatrix:
-    """T x p(p-1)/2 matrix of vectorized strict upper triangles.
-
-    Column order is row-major over index pairs i < j:
-    (1,2), (1,3), ..., (1,p), (2,3), ..., (p-1,p).
-    """
-
-    values: np.ndarray
-    p: int
-
-    def __post_init__(self):
-        m = self.p * (self.p - 1) // 2
-        if self.values.ndim != 2 or self.values.shape[1] != m:
-            raise LengthNotTriangular(
-                f"expected {m} columns for p={self.p}, got shape {self.values.shape}"
-            )
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
 
 
 def _as_data(X) -> np.ndarray:
@@ -207,12 +183,12 @@ def unuvec(row: np.ndarray, p: int) -> np.ndarray:
     return A + A.T
 
 
-def matricize_upper(X: SemiSymTensor) -> UpperTriMatrix:
-    """Matricize along the last mode, keeping strict upper triangles."""
+def matricize_upper(X: SemiSymTensor) -> np.ndarray:
+    """Matricize along the last mode: the C-contiguous (T, p(p-1)/2) array whose row t
+    is uvec(X_t), columns row-major over i < j: (1,2), ..., (1,p), (2,3), ..., (p-1,p)."""
     data = _as_data(X)
-    p = data.shape[0]
-    iu = np.triu_indices(p, k=1)
-    return UpperTriMatrix(values=np.ascontiguousarray(data[iu[0], iu[1], :].T), p=p)
+    iu = np.triu_indices(data.shape[0], k=1)
+    return np.ascontiguousarray(data[iu[0], iu[1], :].T)
 
 
 def frob_inner(X, Y) -> float:

@@ -10,8 +10,10 @@ from click.testing import CliRunner
 
 from sstpca import __version__
 from sstpca.cli import main
-from sstpca.fileio import load_factors
-from sstpca.linalg import sign_aligned_error
+from sstpca.decompose import FitOptions
+from sstpca.deflate import fit_multi
+from sstpca.fileio import load_factors, load_tensor
+from sstpca.linalg import random_unit, sign_aligned_error
 
 
 @pytest.fixture()
@@ -169,6 +171,22 @@ class TestDecomposeCommand:
         first = out.read_bytes()
         run_ok(runner, args)
         assert out.read_bytes() == first
+
+    def test_random_init_is_one_start_drawn_from_seed(self, tmp_path, runner, spike_csv):
+        data, _ = spike_csv
+        X = load_tensor(data, "long-csv")
+        start = random_unit(X.T, np.random.default_rng(5))
+        want = fit_multi(X, [2, 1], "hotelling", FitOptions(init=start)).factors
+        got = {}
+        for seed in (5, 6):
+            out = tmp_path / f"dec{seed}.json"
+            run_ok(runner, ["decompose", "--input", str(data), "--ranks", "2,1", "--init",
+                            "random", "--seed", str(seed), "--output", str(out)])
+            got[seed] = load_factors(out)
+        for f, g in zip(want, got[5], strict=True):
+            assert f.d == g.d
+            assert np.array_equal(f.u, g.u) and np.array_equal(f.V, g.V)
+        assert not all(np.array_equal(f.u, g.u) for f, g in zip(got[5], got[6]))
 
     def test_nonconvergence_exit_code(self, tmp_path, runner, spike_csv):
         data, _ = spike_csv

@@ -8,7 +8,6 @@ from sstpca.decompose import (
     fit_single_factor,
     init_u,
     u_update,
-    u_update_smoothed,
     v_update,
 )
 from sstpca.errors import (
@@ -41,10 +40,12 @@ class TestInitU:
     def test_stable(self):
         assert np.allclose(init_u("stable", 4), [0.5, 0.5, 0.5, 0.5])
 
-    def test_random_unit(self):
-        rng = np.random.default_rng(0)
-        u = init_u("random", 7, rng)
-        assert np.linalg.norm(u) == pytest.approx(1.0)
+    def test_random_scheme_removed(self):
+        # a random start is an explicit vector, random_unit(T, rng)
+        with pytest.raises(InvalidGivenInit):
+            init_u("random", 7)
+        with pytest.raises(InvalidGivenInit):
+            FitOptions(init="random")
 
     def test_given_unchanged(self):
         u0 = np.zeros(5)
@@ -119,7 +120,7 @@ class TestUUpdate:
         rng = np.random.default_rng(4)
         X, V_star, _ = noiseless_instance(rng)
         S = 2.0 * np.eye(X.T)
-        u = u_update_smoothed(X, V_star, S)
+        u = u_update(X, V_star, S)
         x = trace_product(X, V_star)
         assert np.allclose(u, x / (np.sqrt(2) * np.linalg.norm(x)))
         assert float(u @ S @ u) == pytest.approx(1.0, abs=1e-8)
@@ -128,7 +129,7 @@ class TestUUpdate:
         rng = np.random.default_rng(5)
         X, V_star, _ = noiseless_instance(rng)
         u_plain = u_update(X, V_star)
-        u_smooth = u_update_smoothed(X, V_star, np.eye(X.T))
+        u_smooth = u_update(X, V_star, np.eye(X.T))
         assert np.allclose(u_plain, u_smooth, atol=1e-12)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -71,6 +73,21 @@ class TestConstruction:
         A[0, 0] = np.nan
         with pytest.raises(NonFiniteEntry):
             new_from_slices([A])
+
+    def test_overflow_when_symmetrized_rejected(self):
+        # finite entries above ~8.99e307 overflow (a + a') / 2; no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteEntry, match="overflow"):
+                SemiSymTensor(np.full((2, 2, 1), 1e308))
+
+    def test_mixed_sign_near_limit_rejected(self):
+        rng = np.random.default_rng(8)
+        data = np.where(rng.random((4, 4, 3)) < 0.5, -1e308, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises((NonFiniteEntry, AsymmetricSlice)):
+                SemiSymTensor(data)
 
     def test_data_is_readonly(self):
         X = new_from_slices([np.eye(2)])
@@ -209,14 +226,14 @@ class TestMatricization:
         a, b, c = 1.0, 2.0, 3.0
         A = np.array([[0, a, b], [a, 0, c], [b, c, 0]])
         M = matricize_upper(new_from_slices([A]))
-        assert np.allclose(M.values[0], [a, b, c])
-        assert M.cols == 3
+        assert np.allclose(M[0], [a, b, c])
+        assert M.shape[1] == 3
 
     def test_p2_single_column(self):
         A = np.array([[0.0, 0.7], [0.7, 0.0]])
         M = matricize_upper(new_from_slices([A]))
-        assert M.values.shape == (1, 1)
-        assert M.values[0, 0] == pytest.approx(0.7)
+        assert M.shape == (1, 1)
+        assert M[0, 0] == pytest.approx(0.7)
 
     def test_uvec_unuvec_roundtrip(self):
         rng = np.random.default_rng(6)
@@ -244,7 +261,7 @@ class TestMatricization:
             for i in range(p)
             for j in range(i + 1, p)
         )
-        assert np.linalg.norm(M.values) ** 2 == pytest.approx(brute, rel=1e-10)
+        assert np.linalg.norm(M) ** 2 == pytest.approx(brute, rel=1e-10)
 
 
 class TestFrobenius:
