@@ -1,7 +1,6 @@
 """Deterministic work-pool helpers.
 
-Replicates get independent RNG streams spawned from one master seed and
-results are collected in submission order. While the pool runs, every
+Results are collected in submission order. While the pool runs, every
 loaded OpenBLAS is held at one thread, so each worker runs its LAPACK calls
 on its own core instead of competing with BLAS helper threads. Pool results
 therefore equal those of a serial run with one BLAS thread, bit for bit,
@@ -16,8 +15,6 @@ import ctypes
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
 
 from .errors import InvalidParameter
 
@@ -39,10 +36,6 @@ def resolve_threads(explicit: "int | None" = None) -> int:
     if n < 1:
         raise InvalidParameter(f"{source}: expected a positive integer, got {n}")
     return n
-
-
-def spawn_seeds(master_seed: int, n: int) -> list:
-    return np.random.SeedSequence(master_seed).spawn(n)
 
 
 _OPENBLAS_SYMBOLS = [

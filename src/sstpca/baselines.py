@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateMatrix, RankTooLarge
+from .errors import DegenerateMatrix
 from .linalg import normalize, sym, sym_eigen_top_r
 from .tensor import SemiSymTensor, matricize_upper, trace_product, unuvec
 
@@ -63,8 +63,6 @@ def truncated_matricized_pca(X: SemiSymTensor, r: int) -> tuple[np.ndarray, np.n
     symmetric matrix whose top-r magnitude eigenvectors form the basis.
     Returns (u, V, d) with d the scale of the implied single factor.
     """
-    if r > X.p:
-        raise RankTooLarge(f"r={r} exceeds p={X.p}")
     u, v, _ = matricized_pca(X)
     net = unuvec(v, X.p)
     V, _ = sym_eigen_top_r(net, r)
@@ -82,8 +80,6 @@ def hosvd(X: SemiSymTensor, r: int) -> tuple[np.ndarray, np.ndarray]:
     sum_t X_t X_t'; u is the leading eigenvector of the T x T Gram of
     slice inner products.
     """
-    if r > X.p:
-        raise RankTooLarge(f"r={r} exceeds p={X.p}")
     data = X.data
     gram1 = np.einsum("ikt,jkt->ij", data, data)
     if not np.any(gram1):

@@ -47,7 +47,7 @@ def cusum_tensor(X: SemiSymTensor) -> SemiSymTensor:
 
 
 def detect_changepoint(
-    X: SemiSymTensor, r: int, opts: FitOptions | None = None
+    X: SemiSymTensor, r: int, opts: FitOptions = FitOptions()
 ) -> ChangepointResult:
     """Locate the most likely single mean shift in a slice series."""
     if X.T < 3:
@@ -55,8 +55,6 @@ def detect_changepoint(
     C = cusum_tensor(X)
     if frob_norm(C) < 1e-12 * frob_norm(X):
         raise DegenerateSeries("cumulative-sum tensor is numerically zero")
-    if opts is None:
-        opts = FitOptions()
     factor, diag = fit_single_factor(C, opts.with_rank(r))
     scores = np.abs(factor.u)
     tau_hat = int(np.argmax(scores)) + 1  # argmax takes the earliest tie

@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import sys
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import click
@@ -48,7 +49,7 @@ from .fileio import (
     write_long_csv,
 )
 from .linalg import procrustes_aligned_rmse, random_stiefel, random_unit, sign_aligned_error
-from .ranksel import rank_select_bic_trace
+from .ranksel import rank_select_bic
 from .simulate import (
     SweepCell,
     _stat_iteration,
@@ -79,15 +80,15 @@ def _diag_dict(diag) -> dict:
     return {
         "iterations": diag.iterations,
         "converged": diag.converged,
-        "objective": [float(x) for x in diag.objective],
-        "u_change": [float(x) for x in diag.u_change],
+        "objective": diag.objective,
+        "u_change": diag.u_change,
     }
 
 
-def _thresholded_network(factor, threshold: float) -> list:
+def _thresholded_network(factor, threshold: float) -> np.ndarray:
     W = factor.d * (factor.V @ factor.V.T)
     W[np.abs(W) < threshold] = 0.0
-    return [float(x) for x in W.ravel(order="C")]
+    return W.ravel(order="C")
 
 
 def _parse_list(text: str, key: str) -> tuple:
@@ -121,11 +122,10 @@ def _command(name: str, *options):
 
     The decorated body receives ``cfg``, a namespace of the command name
     and its parsed options, and returns ``(results, problem)``. The runner
-    checks ranks and fit controls, silences library warnings, writes the
-    canonical JSON, and owns the exit codes: 2 with the message on an
-    SSTPCAError or on a path that cannot be written (CSV side products are
-    written before the JSON, so a failed CSV write leaves no JSON), 1 after
-    writing the results when ``problem`` is set.
+    silences library warnings, writes the canonical JSON, and owns the exit
+    codes: 2 with the message on an SSTPCAError or on a path that cannot be
+    written (CSV side products are written before the JSON, so a failed CSV
+    write leaves no JSON), 1 after writing the results when ``problem`` is set.
     """
 
     def register(body):
@@ -134,10 +134,6 @@ def _command(name: str, *options):
                 for key in _LIST_CASTS:  # dict order: --p-list is reported before --d-list
                     if key in params:
                         params[key] = _parse_list(params[key], key)
-                if any(r < 1 for r in params.get("ranks", ())):
-                    raise ParseError("ranks must be positive")
-                if params.get("tol", 1.0) <= 0 or params.get("max_iter", 1) < 1:
-                    raise ParseError("tol must be positive and max_iter at least 1")
                 cfg = SimpleNamespace(command=name, **params)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
@@ -197,9 +193,9 @@ def decompose(cfg: SimpleNamespace):
         "scheme": cfg.scheme,
         "factors": [factor_to_dict(f, X.T) for f in dec.factors],
         "diagnostics": [_diag_dict(d) for d in dec.diagnostics],
-        "residual_norms": [float(x) for x in dec.residual_norms],
-        "cpve": [float(x) for x in dec.cpve],
-        "residual_ratios": [float(x) for x in dec.residual_ratios],
+        "residual_norms": dec.residual_norms,
+        "cpve": dec.cpve,
+        "residual_ratios": dec.residual_ratios,
     }
     if cfg.edge_threshold is not None:
         results["principal_networks"] = [
@@ -234,7 +230,7 @@ def changepoint(cfg: SimpleNamespace):
         "rank": cfg.rank,
         "tau_hat": res.tau_hat,
         "score": res.score,
-        "u_hat": [float(x) for x in res.u_hat],
+        "u_hat": res.u_hat,
         "factor": factor_to_dict(res.factor, X.T - 1),
         "diagnostics": _diag_dict(res.diagnostics),
     }
@@ -245,7 +241,7 @@ def changepoint(cfg: SimpleNamespace):
     return results, None if res.diagnostics.converged else "fit did not converge"
 
 
-def _simulate_spike(cfg: SimpleNamespace) -> dict:
+def _simulate_spike(cfg: SimpleNamespace, opts: FitOptions) -> dict:
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     X, truth = spike_model(cfg.p, cfg.T, cfg.r, cfg.d, cfg.sigma, cfg.u_mode, rng)
     if cfg.data_out:
@@ -257,13 +253,13 @@ def _simulate_spike(cfg: SimpleNamespace) -> dict:
         "d": truth.d,
         "sigma": truth.sigma,
         "snr": truth.snr,
-        "u_star": [float(x) for x in truth.u_star],
-        "V_star": [float(x) for x in truth.V_star.ravel(order="C")],
+        "u_star": truth.u_star,
+        "V_star": truth.V_star.ravel(order="C"),
         "data_path": cfg.data_out,
     }
 
 
-def _simulate_shift(cfg: SimpleNamespace) -> dict:
+def _simulate_shift(cfg: SimpleNamespace, opts: FitOptions) -> dict:
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     tau = cfg.tau if cfg.tau is not None else cfg.T // 2
     if not 1 <= tau <= cfg.T - 1:
@@ -287,14 +283,18 @@ def _simulate_shift(cfg: SimpleNamespace) -> dict:
         "sigma": cfg.sigma,
         "tau_star": tau,
         "detection_snr": detection_snr(M1, M2, tau, cfg.T, cfg.sigma) if cfg.sigma > 0 else None,
-        "V1": [float(x) for x in V1.ravel(order="C")],
-        "V2": [float(x) for x in V2.ravel(order="C")],
+        "V1": V1.ravel(order="C"),
+        "V2": V2.ravel(order="C"),
         "data_path": cfg.data_out,
     }
 
 
-def _simulate_fig3(cfg: SimpleNamespace) -> dict:
+def _simulate_fig3(cfg: SimpleNamespace, opts: FitOptions) -> dict:
     """Computational-vs-statistical convergence traces at low SNR."""
+    if cfg.seeds < 1:
+        raise InvalidParameter(f"--seeds must be at least 1, got {cfg.seeds}")
+    if not cfg.r_list or min(cfg.r_list) < 1:
+        raise InvalidParameter(f"--r-list must hold ranks of at least 1, got {list(cfg.r_list)}")
     rows = []
     summary = {}
     master = np.random.SeedSequence(cfg.seed)
@@ -309,21 +309,20 @@ def _simulate_fig3(cfg: SimpleNamespace) -> dict:
             # Constant truth with a random positive-orthant start, so the
             # initialization is informative but not an oracle.
             u0 = random_unit(cfg.T, rng, positive=True)
-            opts = FitOptions(rank=r, max_iter=cfg.max_iter, tol=cfg.tol, init=u0)
-            factor, diag = fit_single_factor(X, opts)
-            _, final_armse = procrustes_aligned_rmse(factor.V, truth.V_star)
-            final_armses.append(final_armse)
-            for k, (u_k, V_k) in enumerate(zip(diag.u_trace, diag.V_trace)):
-                _, armse_k = procrustes_aligned_rmse(V_k, truth.V_star)
+            _, diag = fit_single_factor(X, replace(opts, rank=r, init=u0))
+            # The last iterate is the fitted basis, so its error is the final one.
+            armses = [procrustes_aligned_rmse(V_k, truth.V_star)[1] for V_k in diag.V_trace]
+            final_armses.append(armses[-1])
+            for k, (u_k, armse_k) in enumerate(zip(diag.u_trace, armses)):
                 u_err_k = float(sign_aligned_error(u_k, truth.u_star) / np.sqrt(cfg.T))
                 rows.append([r, s, k + 1, repr(diag.objective[k]), repr(armse_k), repr(u_err_k)])
-            stat_by_8 += _stat_iteration(diag, truth.V_star, final_armse) <= 8
+            stat_by_8 += _stat_iteration(armses, armses[-1]) <= 8
             comp_ge_15 += diag.iterations >= 15
         summary[str(r)] = {
             "d": d,
             "frac_stat_by_8": stat_by_8 / cfg.seeds,
             "frac_comp_ge_15": comp_ge_15 / cfg.seeds,
-            "mean_final_armse": float(np.mean(final_armses)),
+            "mean_final_armse": np.mean(final_armses),
         }
     _write_csv(cfg.csv_out, ["r", "seed", "iteration", "objective", "armse", "u_err"], rows)
     return {"per_rank": summary, "trace_csv": cfg.csv_out, "seeds": cfg.seeds}
@@ -352,7 +351,8 @@ _PRESETS = {"spike": _simulate_spike, "shift": _simulate_shift, "fig3": _simulat
 )
 def simulate(cfg: SimpleNamespace):
     """Generate synthetic instances or convergence-trace experiments."""
-    return _PRESETS[cfg.preset](cfg), None
+    opts = FitOptions(max_iter=cfg.max_iter, tol=cfg.tol)
+    return _PRESETS[cfg.preset](cfg, opts), None
 
 
 @_command(
@@ -402,7 +402,7 @@ def rank_select(cfg: SimpleNamespace):
     """Choose factor ranks greedily by BIC."""
     X = load_tensor(cfg.input, cfg.format)
     opts = FitOptions(max_iter=cfg.max_iter, tol=cfg.tol)
-    ranks, steps = rank_select_bic_trace(X, cfg.r_max, cfg.k_max, opts, cfg.scheme)
+    ranks, steps = rank_select_bic(X, cfg.r_max, cfg.k_max, opts, cfg.scheme)
     results = {
         "p": X.p,
         "T": X.T,

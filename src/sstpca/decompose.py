@@ -46,8 +46,10 @@ class Factor:
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Settings of one fit. `init` is "stable" or a unit T-vector, such as
-    `random_unit(T, rng)` for a random start; other names raise InvalidGivenInit."""
+    """Settings of one fit, checked when built: rank >= 1, tol > 0, max_iter >= 1
+    and a square, symmetric smoother with S >= I, else DimensionMismatch. `init` is
+    "stable" or a unit T-vector, such as `random_unit(T, rng)` for a random start;
+    other names raise InvalidGivenInit. Each fit checks rank <= p and a T x T smoother."""
 
     rank: int = 1
     max_iter: int = 200
@@ -57,8 +59,22 @@ class FitOptions:
     smoother: "np.ndarray | None" = None
 
     def __post_init__(self):
+        if self.rank < 1:
+            raise DimensionMismatch(f"rank {self.rank} must be at least 1")
+        if self.tol <= 0:
+            raise DimensionMismatch("tol must be positive")
+        if self.max_iter < 1:
+            raise DimensionMismatch("max_iter must be at least 1")
         if isinstance(self.init, str):
             init_u(self.init, 1)  # rejects unknown scheme names
+        if self.smoother is not None:
+            S = np.asarray(self.smoother, dtype=np.float64)
+            if S.ndim != 2 or S.shape[0] != S.shape[1]:
+                raise DimensionMismatch(f"smoother must be square, got {S.shape}")
+            if np.abs(S - S.T).max() > 1e-8 * max(1.0, float(np.abs(S).max())):
+                raise DimensionMismatch("smoother must be symmetric")
+            if np.linalg.eigvalsh(S).min() < 1.0 - 1e-8:
+                raise DimensionMismatch("smoother must satisfy S >= I")
 
     def with_rank(self, r: int) -> "FitOptions":
         return replace(self, rank=r)
@@ -156,20 +172,10 @@ def u_update(X, V: np.ndarray, S: "np.ndarray | None" = None) -> np.ndarray:
 
 
 def _validate_options(X: SemiSymTensor, opts: FitOptions) -> None:
-    if opts.rank < 1 or opts.rank > X.p:
+    if opts.rank > X.p:
         raise DimensionMismatch(f"rank {opts.rank} must lie in [1, {X.p}]")
-    if opts.tol <= 0:
-        raise DimensionMismatch("tol must be positive")
-    if opts.max_iter < 1:
-        raise DimensionMismatch("max_iter must be at least 1")
-    if opts.smoother is not None:
-        S = np.asarray(opts.smoother, dtype=np.float64)
-        if S.shape != (X.T, X.T):
-            raise DimensionMismatch(f"smoother must be {X.T} x {X.T}, got {S.shape}")
-        if np.abs(S - S.T).max() > 1e-8 * max(1.0, float(np.abs(S).max())):
-            raise DimensionMismatch("smoother must be symmetric")
-        if np.linalg.eigvalsh(S).min() < 1.0 - 1e-8:
-            raise DimensionMismatch("smoother must satisfy S >= I")
+    if opts.smoother is not None and np.shape(opts.smoother) != (X.T, X.T):
+        raise DimensionMismatch(f"smoother must be {X.T} x {X.T}, got {np.shape(opts.smoother)}")
 
 
 def _column_normalized(V: np.ndarray) -> np.ndarray:

@@ -34,23 +34,26 @@ class Decomposition:
     """Ordered factors plus the per-step residual bookkeeping.
 
     residual_norms[k] is the Frobenius norm of the residual before fitting
-    factor k (so it has K+1 entries). cpve[k] is the explained fraction
-    1 - ||X^{k+1}||^2 / ||X||^2; the raw residual ratio is also kept since
+    factor k (so it has K+1 entries). residual_ratios[k] is
+    ||X^{k+1}||^2 / ||X||^2 and cpve[k] the explained fraction 1 minus that;
     both conventions appear in reports.
     """
 
     factors: list = field(default_factory=list)
     scheme: str = "hotelling"
     residual_norms: list = field(default_factory=list)
-    cpve: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
 
     @property
     def residual_ratios(self) -> list:
         total = self.residual_norms[0] ** 2
         if total == 0:
-            return [0.0 for _ in self.cpve]
+            return [0.0 for _ in self.residual_norms[1:]]
         return [n**2 / total for n in self.residual_norms[1:]]
+
+    @property
+    def cpve(self) -> list:
+        return [1.0 - x for x in self.residual_ratios]
 
 
 @dataclass(frozen=True)
@@ -128,21 +131,18 @@ def slices_all_psd(X: SemiSymTensor, tol: float = 1e-10) -> bool:
 
 
 def fit_multi(
-    X: SemiSymTensor, ranks, scheme: str = "hotelling", opts: FitOptions | None = None
+    X: SemiSymTensor, ranks, scheme: str = "hotelling", opts: FitOptions = FitOptions()
 ) -> Decomposition:
-    """Fit K factors greedily, deflating between fits."""
+    """Fit K factors greedily, deflating between fits; all options are checked first."""
     if scheme not in SCHEMES:
         raise DimensionMismatch(f"unknown deflation scheme {scheme!r}")
-    ranks = [int(r) for r in ranks]
-    if not ranks:
+    per_factor = [opts.with_rank(int(r)) for r in ranks]
+    if not per_factor:
         raise DimensionMismatch("need at least one rank")
-    if opts is None:
-        opts = FitOptions()
 
-    total_norm = frob_norm(X)
-    dec = Decomposition(scheme=scheme, residual_norms=[total_norm])
+    dec = Decomposition(scheme=scheme, residual_norms=[frob_norm(X)])
     residual = X
-    for k, r in enumerate(ranks):
+    for k, factor_opts in enumerate(per_factor):
         if scheme == "schur" and not slices_all_psd(residual):
             warnings.warn(
                 f"residual before factor {k} is not slicewise PSD; "
@@ -150,7 +150,7 @@ def fit_multi(
                 stacklevel=2,
             )
         try:
-            factor, diag = fit_single_factor(residual, opts.with_rank(r))
+            factor, diag = fit_single_factor(residual, factor_opts)
             residual = deflate(residual, factor, scheme)
         except SSTPCAError as e:
             e.args = (f"factor {k}: {e}",)
@@ -158,7 +158,6 @@ def fit_multi(
         dec.factors.append(factor)
         dec.diagnostics.append(diag)
         dec.residual_norms.append(frob_norm(residual))
-        dec.cpve.append(1.0 - dec.residual_norms[-1] ** 2 / total_norm**2)
 
     scales = [f.d for f in dec.factors]
     if any(b > a for a, b in zip(scales, scales[1:])):

@@ -149,24 +149,18 @@ def _load_long_csv(path: Path) -> SemiSymTensor:
     p = int(max(i.max(), j.max()))
     data = np.zeros((p, p, times.size))
     a, b = np.minimum(i, j) - 1, np.maximum(i, j) - 1
-    # Rows with equal keys name the same entry; a stable sort keeps them in
-    # file order, so the first of each run is the row read first.
+    # Rows with equal keys name the same entry; np.unique's index is the first
+    # occurrence of each key, so `keep` holds the row read first of each entry.
     key = (slot * p + a) * p + b
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.ones(key.size, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    run_first = order[np.maximum.accumulate(np.where(first, np.arange(key.size), 0))]
-    gap = np.abs(w[order] - w[run_first])
+    _, keep, entry = np.unique(key, return_index=True, return_inverse=True)
+    gap = np.abs(w - w[keep[entry]])
     conflict = np.flatnonzero(gap > DUPLICATE_TOL)
     if conflict.size:
-        s = conflict[np.argmin(order[conflict])]  # the conflict read first
-        k = order[s]
+        k = conflict[0]  # the conflict read first
         raise AsymmetricInput(
             f"{path.name}, row {row_number(k)}: pair ({i[k]},{j[k]}) at t={t[k]} "
-            f"conflicts with earlier value by {gap[s]:.3e}"
+            f"conflicts with earlier value by {gap[k]:.3e}"
         )
-    keep = order[first]
     data[a[keep], b[keep], slot[keep]] = w[keep]
     data[b[keep], a[keep], slot[keep]] = w[keep]
     # Finite weights, each written to (a, b) and (b, a): exactly symmetric.
@@ -223,12 +217,12 @@ def write_json(path, payload) -> None:
 
 def factor_to_dict(f: Factor, T: int) -> dict:
     return {
-        "d": float(f.d),
-        "p": int(f.V.shape[0]),
-        "r": int(f.V.shape[1]),
-        "T": int(T),
-        "u": [float(x) for x in f.u],
-        "V": [float(x) for x in f.V.ravel(order="C")],  # row-major
+        "d": f.d,
+        "p": f.V.shape[0],
+        "r": f.V.shape[1],
+        "T": T,
+        "u": f.u,
+        "V": f.V.ravel(order="C"),  # row-major
     }
 
 

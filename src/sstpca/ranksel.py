@@ -60,17 +60,17 @@ class RankSelectionStep:
     failed: list = field(default_factory=list)  # (r, error class name) pairs
 
 
-def rank_select_bic_trace(
+def rank_select_bic(
     X: SemiSymTensor,
     r_max: int,
     K_max: int,
-    opts: FitOptions | None = None,
+    opts: FitOptions = FitOptions(),
     scheme: str = "hotelling",
-):
-    """Greedy selection returning (ranks, per-step trace).
+) -> tuple[list, list]:
+    """Greedy selection by BIC: (ranks, steps), one RankSelectionStep per step.
 
-    A candidate rank whose fit raises an SSTPCAError is left out of the
-    step's ``candidates`` and listed in its ``failed``.
+    `ranks` may be empty. A candidate rank whose fit raises an SSTPCAError is
+    left out of the step's ``candidates`` and listed in its ``failed``.
     """
     if r_max < 1 or r_max > X.p:
         raise DimensionMismatch(f"r_max={r_max} must lie in [1, {X.p}]")
@@ -78,8 +78,6 @@ def rank_select_bic_trace(
         raise DimensionMismatch("K_max must be at least 1")
     if scheme not in SCHEMES:
         raise DimensionMismatch(f"unknown deflation scheme {scheme!r}")
-    if opts is None:
-        opts = FitOptions()
 
     n_obs = X.T * X.p * (X.p + 1) // 2
     ranks: list[int] = []
@@ -109,15 +107,3 @@ def rank_select_bic_trace(
         ranks.append(best[1])
         residual = deflate(residual, best[2], scheme)
     return ranks, steps
-
-
-def rank_select_bic(
-    X: SemiSymTensor,
-    r_max: int,
-    K_max: int,
-    opts: FitOptions | None = None,
-    scheme: str = "hotelling",
-) -> list:
-    """Ranks of the factors selected greedily by BIC (possibly empty)."""
-    ranks, _ = rank_select_bic_trace(X, r_max, K_max, opts, scheme)
-    return ranks

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._parallel import ordered_map, spawn_seeds
+from ._parallel import ordered_map
 from .decompose import Factor, FitDiagnostics, FitOptions, fit_single_factor
 from .errors import BudgetExceeded, DimensionMismatch, InvalidParameter, InvalidProbability
 from .linalg import (
@@ -209,17 +209,17 @@ class SweepResult:
     converged_frac: float
 
 
-def _stat_iteration(diag: FitDiagnostics, V_star: np.ndarray, armse_final: float) -> int:
-    """First iterate whose aligned error reaches within 5% of the final one.
+def _stat_iteration(armses, armse_final: float) -> int:
+    """First iterate (1-based) whose aligned error reaches within 5% of the final one.
 
-    One-sided: an early iterate that is temporarily better than the
-    converged error already has final-level statistical accuracy.
+    `armses` are the iterates' aligned errors in order, ending with the fitted
+    basis's, so one qualifies; a generator is read only up to it. One-sided: an
+    early iterate temporarily better than the converged error already has
+    final-level statistical accuracy.
     """
-    for k, V in enumerate(diag.V_trace):
-        _, a = procrustes_aligned_rmse(V, V_star)
+    for k, a in enumerate(armses):
         if a <= 1.05 * armse_final + 1e-15:
             return k + 1
-    return diag.iterations
 
 
 def _recon_error(factor: Factor, truth: SpikeTruth) -> float:
@@ -251,11 +251,12 @@ def _run_rep(cell: SweepCell, seed_seq, max_iter: int, tol: float):
     factor, diag = fit_single_factor(X, opts)
     u_err = sign_aligned_error(factor.u, truth.u_star) / np.sqrt(cell.T)
     _, armse = procrustes_aligned_rmse(factor.V, truth.V_star)
+    armses = (procrustes_aligned_rmse(V, truth.V_star)[1] for V in diag.V_trace)
     return (
         u_err,
         armse,
         _recon_error(factor, truth),
-        _stat_iteration(diag, truth.V_star, armse),
+        _stat_iteration(armses, armse),
         diag.iterations,
         1.0 if diag.converged else 0.0,
     )
@@ -294,7 +295,7 @@ def rate_sweep(
     cells = list(cells)
     if not cells or reps < 1:
         raise DimensionMismatch("need a nonempty grid and reps >= 1")
-    cell_seeds = spawn_seeds(seed, len(cells))
+    cell_seeds = np.random.SeedSequence(seed).spawn(len(cells))
     results = []
     for cell, cell_seed in zip(cells, cell_seeds):
         rep_seeds = cell_seed.spawn(reps)

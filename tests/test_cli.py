@@ -63,9 +63,17 @@ def shift_csv(tmp_path, runner):
         (["changepoint", "--input", "{shift}", "--rank", "2", "--max-iter", "2"], 1),
         (["decompose", "--input", "{spike}", "--trace-csv", "{nodir}"], 2),
         (["decompose", "--input", "{spike}", "--output", "{nodir}"], 2),
+        (["simulate", "--preset", "spike", "--tol", "0"], 2),
+        (["decompose", "--input", "{spike}", "--ranks", "3,0"], 2),
+        (["simulate", "--preset", "fig3", "--seeds", "0"], 2),
+        (["simulate", "--preset", "fig3", "--seeds", "-1"], 2),
+        (["simulate", "--preset", "fig3", "--r-list", "0"], 2),
+        (["simulate", "--preset", "fig3", "--r-list=-1"], 2),
+        (["simulate", "--preset", "fig3", "--r-list", ""], 2),
     ],
     ids=["simulate", "benchmark", "rank-select", "changepoint", "trace-csv-unwritable",
-         "output-unwritable"],
+         "output-unwritable", "spike-tol-0", "decompose-rank-0", "fig3-seeds-0",
+         "fig3-seeds-neg", "fig3-rank-0", "fig3-rank-neg", "fig3-no-ranks"],
 )
 def test_exit_code_contract(tmp_path, runner, spike_csv, shift_csv, args, code):
     """Input errors and unwritable paths exit 2 with no artifact; non-convergence

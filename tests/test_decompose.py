@@ -68,6 +68,18 @@ class TestInitU:
             init_u("bogus", 4)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"rank": 0}, {"tol": 0.0}, {"max_iter": 0}, {"smoother": np.eye(3)[:, :2]},
+     {"smoother": np.array([[2.0, 0.5], [0.0, 2.0]])}, {"smoother": 0.5 * np.eye(3)}],
+    ids=["rank-0", "tol-0", "max-iter-0", "smoother-not-square", "smoother-asymmetric",
+         "smoother-below-identity"],
+)
+def test_fit_options_checked_when_built(kwargs):
+    with pytest.raises(DimensionMismatch):
+        FitOptions(**kwargs)
+
+
 class TestVUpdate:
     def test_noiseless_recovers_span(self):
         rng = np.random.default_rng(1)

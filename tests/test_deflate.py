@@ -1,3 +1,4 @@
+import importlib
 import warnings
 
 import numpy as np
@@ -227,6 +228,21 @@ class TestFitMulti:
         X = new_from_slices([np.zeros((4, 4))] * 3)
         with pytest.raises(Exception, match="factor 0"):
             fit_multi(X, [1], "hotelling", FitOptions(max_iter=5))
+
+    def test_bad_rank_raises_before_any_fit(self, monkeypatch):
+        calls = []
+
+        def counting_fit(*args, **kwargs):
+            calls.append(args)
+            return fit_single_factor(*args, **kwargs)
+
+        # `sstpca.deflate` as an attribute path names the function the package exports.
+        monkeypatch.setattr(importlib.import_module("sstpca.deflate"), "fit_single_factor",
+                            counting_fit)
+        X = random_instance(3)
+        with pytest.raises(DimensionMismatch):
+            fit_multi(X, [3, 0])
+        assert calls == []
 
     def test_nonmonotone_scale_warns(self):
         # second factor is stronger than the first in this construction

@@ -11,7 +11,6 @@ from sstpca.ranksel import (
     distinct_rss,
     n_free_params,
     rank_select_bic,
-    rank_select_bic_trace,
 )
 from sstpca.simulate import goe_noise
 from sstpca.tensor import SemiSymTensor, rank1_outer
@@ -55,7 +54,8 @@ class TestSelection:
         u = random_unit(10, rng, positive=True)
         data = rank1_outer(5.0, V, u).data + goe_noise(20, 10, 1e-6, rng)
         X = SemiSymTensor(sym(data))
-        assert rank_select_bic(X, r_max=5, K_max=3) == [3]
+        ranks, _ = rank_select_bic(X, r_max=5, K_max=3)
+        assert ranks == [3]
 
     def test_pure_noise_selects_nothing(self):
         nulls = 0
@@ -64,7 +64,8 @@ class TestSelection:
             E = SemiSymTensor(sym(goe_noise(15, 10, 1.0, rng)))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                nulls += rank_select_bic(E, r_max=3, K_max=2) == []
+                ranks, _ = rank_select_bic(E, r_max=3, K_max=2)
+                nulls += ranks == []
         assert nulls >= 45  # >= 90% of 50 seeds
 
     def test_rss_nonincreasing_in_rank(self):
@@ -94,7 +95,7 @@ class TestSelection:
         X = SemiSymTensor(sym(data))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            ranks = rank_select_bic(X, r_max=3, K_max=4)
+            ranks, _ = rank_select_bic(X, r_max=3, K_max=4)
         assert ranks[:2] == [2, 2]
 
     def test_trace_structure(self):
@@ -103,7 +104,7 @@ class TestSelection:
         X = SemiSymTensor(sym(data + goe_noise(10, 6, 0.1, rng)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            ranks, steps = rank_select_bic_trace(X, r_max=3, K_max=2)
+            ranks, steps = rank_select_bic(X, r_max=3, K_max=2)
         assert ranks == [s.chosen_r for s in steps if s.chosen_r is not None]
         assert all(len(s.candidates) <= 3 for s in steps)
         chosen = steps[0]
@@ -112,7 +113,7 @@ class TestSelection:
 
     def test_failed_candidates_are_listed(self):
         X = SemiSymTensor(np.zeros((5, 5, 3)))
-        ranks, steps = rank_select_bic_trace(X, r_max=3, K_max=2)
+        ranks, steps = rank_select_bic(X, r_max=3, K_max=2)
         assert ranks == []
         (step,) = steps
         assert step.failed == [(1, "DegenerateIterate"), (2, "DegenerateIterate"),
