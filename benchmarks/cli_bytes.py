@@ -70,11 +70,13 @@ MATRIX = [
     ("benchmark-threads-2", ["benchmark", *SWEEP, "--threads", "2",
                              "--csv", "{dir}/sweep.csv"], ["sweep.csv"]),
     ("benchmark-oracle", ["benchmark", *SWEEP, "--init", "oracle", "--u-mode", "positive"], []),
-    # Fit-control errors: exit 2 and no JSON.
+    # Fit-control and model-parameter errors: exit 2 and no JSON.
     ("error-tol-0", ["decompose", "--input", "{dir}/spike.csv", "--tol", "0"], []),
     ("error-max-iter-0", ["changepoint", "--input", "{dir}/shift.csv", "--max-iter", "0"], []),
     ("error-rank-0", ["decompose", "--input", "{dir}/spike.csv", "--ranks", "2,0"], []),
     ("error-spike-tol-0", ["simulate", "--preset", "spike", "--tol", "0"], []),
+    *[(f"error-{preset}-r-0", ["simulate", "--preset", preset, "--r", "0"], [])
+      for preset in ("spike", "shift")],
 ]
 
 

@@ -1,16 +1,24 @@
-"""Deterministic work-pool helpers.
+"""Deterministic work-pool helpers and the BLAS thread policy of a fit.
 
 Results are collected in submission order. While the pool runs, every
 loaded OpenBLAS is held at one thread, so each worker runs its LAPACK calls
 on its own core instead of competing with BLAS helper threads. Pool results
 therefore equal those of a serial run with one BLAS thread, bit for bit,
-for any worker count; a serial run (``n_threads=1``) keeps the process's
-BLAS threading, which can change the last digits once matrices are large
-enough for OpenBLAS to use its threads.
+for any worker count.
+
+Outside a pool, `_blas_hold_for(p)` sets the thread policy of a fit on a
+p-node network: at p <= ONE_BLAS_THREAD_MAX_P (500) the fit runs under the
+same one-thread hold, so it gives the bits of a one-BLAS-thread run at any
+OPENBLAS_NUM_THREADS; above 500 it keeps the process's BLAS threads, whose
+count can change the last digits. `fit_single_factor` enters it, and
+`fit_multi` and `rank_select_bic` enter it once around their whole fit loop:
+after each release the next threaded BLAS call wakes the OpenBLAS helper
+threads, which then spin for about 0.1 s of CPU.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
 import threading
@@ -105,6 +113,24 @@ class _SingleThreadedBlas:
 
 
 _single_threaded_blas = _SingleThreadedBlas()
+
+# Largest p at which a fit holds OpenBLAS at one thread. Median wall / CPU
+# time of one eigh on a 2-core Xeon (BENCH_11.json), at 1 and at 2 threads:
+# p=300 5.6 / 5.6 ms and 5.3 / 9.3 ms; p=500 18.4 / 18.4 ms and 14.9 / 29.7 ms;
+# p=1000 120 / 120 ms and 71 / 143 ms. Up to p=500 a second thread saves at
+# most a fifth of the wall time and costs more than half again the CPU.
+ONE_BLAS_THREAD_MAX_P = 500
+
+
+def _blas_hold_for(p: int):
+    """The BLAS thread policy of a fit on a p-node network: the one-thread
+    hold at p <= ONE_BLAS_THREAD_MAX_P, else a context that does nothing.
+
+    The hold is shared and reference-counted, so entering it inside a pool or
+    inside another fit's hold changes nothing. Like the pool's hold, it must
+    not be entered while another thread of the process is inside a BLAS call.
+    """
+    return _single_threaded_blas if p <= ONE_BLAS_THREAD_MAX_P else contextlib.nullcontext()
 
 
 def ordered_map(fn, items, n_threads: int = 1) -> list:

@@ -4,12 +4,14 @@ Five subcommands: ``decompose``, ``changepoint``, ``simulate``,
 ``benchmark``, and ``rank-select``. Every command writes one canonical
 JSON artifact (sorted keys, no timestamps); tabular side products go to
 CSV. For a fixed seed and a fixed BLAS thread count (OPENBLAS_NUM_THREADS
-and the like) the bytes are identical across runs; another BLAS thread
-count can change the last digits, because the eigensolver's rounding
-depends on it. ``benchmark`` with two or more worker threads and reps
-holds OpenBLAS at one thread while its pool runs, so every such worker
-count gives the bytes of a one-BLAS-thread run; ``--threads 1`` keeps the
-process's BLAS threads and can differ from them in the last digits.
+and the like) the bytes are identical across runs. A fit on a network of
+p <= 500 nodes holds OpenBLAS at one thread (see `_parallel`), so it gives
+the bytes of a one-BLAS-thread run at any OPENBLAS_NUM_THREADS; above 500 it
+keeps the process's BLAS threads, whose count can change the last digits,
+because the eigensolver's rounding depends on it. ``benchmark`` with two or
+more worker threads and reps holds OpenBLAS at one thread while its pool
+runs, so every such worker count gives the bytes of a one-BLAS-thread run,
+as does ``--threads 1`` at p <= 500.
 
 All five commands run through one runner, `_command`, which owns the exit
 codes: 0 success, 2 input error, 1 flagged non-convergence. Only
@@ -413,6 +415,7 @@ def rank_select(cfg: SimpleNamespace):
                 "candidates": [[r, _finite(bic)] for r, bic in step.candidates],
                 "chosen_r": step.chosen_r,
                 "failed": [[r, name] for r, name in step.failed],
+                "capped": step.capped,
             }
             for step in steps
         ],

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._parallel import _blas_hold_for
 from .errors import (
     DegenerateIterate,
     DidNotConvergeWarning,
@@ -202,6 +203,9 @@ def fit_single_factor(
     u-update target; it backs the adversarial-noise harness. So the loop runs
     the steps of v_update and u_update, `_best_eigen_block` and `_loading`,
     rather than calling them; the objective uses the unperturbed trace-product.
+
+    At p <= 500 the iterations run with OpenBLAS held at one thread, so the
+    result does not depend on OPENBLAS_NUM_THREADS (see `_parallel`).
     """
     _validate_options(X, opts)
     if frob_norm(X) == 0.0:
@@ -210,36 +214,38 @@ def fit_single_factor(
     u = init_u(opts.init, X.T)
 
     diag = FitDiagnostics()
-    for k in range(opts.max_iter):
-        E_V, e_u = _perturb(k) if _perturb is not None else (None, None)
+    with _blas_hold_for(X.p):
+        for k in range(opts.max_iter):
+            E_V, e_u = _perturb(k) if _perturb is not None else (None, None)
 
-        M = ttv3(X, u)
-        if E_V is not None and np.any(E_V):
-            M = M + E_V
-        V, _ = _best_eigen_block(M, opts.rank, opts.eigen_scaled)
+            M = ttv3(X, u)
+            if E_V is not None and np.any(E_V):
+                M = M + E_V
+            V, _ = _best_eigen_block(M, opts.rank, opts.eigen_scaled)
 
-        x = trace_product(X, V)
-        target = x + e_u if (e_u is not None and np.any(e_u)) else x
-        try:
-            u_new = _loading(target, opts.smoother)
-        except ZeroVector as e:
-            raise DegenerateIterate("loading update target is numerically zero") from e
+            x = trace_product(X, V)
+            target = x + e_u if (e_u is not None and np.any(e_u)) else x
+            try:
+                u_new = _loading(target, opts.smoother)
+            except ZeroVector as e:
+                raise DegenerateIterate("loading update target is numerically zero") from e
 
-        obj = float(x @ u_new)
-        u_change = float(np.linalg.norm(u_new - u))
-        diag.objective.append(obj)
-        diag.u_change.append(u_change)
-        diag.u_trace.append(u_new.copy())
-        diag.V_trace.append(V.copy())
-        diag.iterations = k + 1
+            obj = float(x @ u_new)
+            u_change = float(np.linalg.norm(u_new - u))
+            diag.objective.append(obj)
+            diag.u_change.append(u_change)
+            diag.u_trace.append(u_new.copy())
+            diag.V_trace.append(V.copy())
+            diag.iterations = k + 1
 
-        v_change = np.inf
-        if k > 0:
-            v_change = sin_theta_frob(_column_normalized(V), _column_normalized(diag.V_trace[-2]))
-        u = u_new
-        if u_change < opts.tol and v_change < opts.tol:
-            diag.converged = True
-            break
+            v_change = np.inf
+            if k > 0:
+                v_change = sin_theta_frob(_column_normalized(V),
+                                          _column_normalized(diag.V_trace[-2]))
+            u = u_new
+            if u_change < opts.tol and v_change < opts.tol:
+                diag.converged = True
+                break
 
     if not diag.converged:
         warnings.warn(

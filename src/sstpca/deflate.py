@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._parallel import _blas_hold_for
 from .decompose import Factor, FitOptions, fit_single_factor
 from .errors import DimensionMismatch, NonFiniteEntry, SingularSchurBlock, SSTPCAError
 from .linalg import sym
@@ -133,31 +134,36 @@ def slices_all_psd(X: SemiSymTensor, tol: float = 1e-10) -> bool:
 def fit_multi(
     X: SemiSymTensor, ranks, scheme: str = "hotelling", opts: FitOptions = FitOptions()
 ) -> Decomposition:
-    """Fit K factors greedily, deflating between fits; all options are checked first."""
+    """Fit K factors greedily, deflating between fits; all options are checked first.
+
+    At p <= 500 the whole loop runs with OpenBLAS held at one thread (see
+    `_parallel`), so the decomposition does not depend on OPENBLAS_NUM_THREADS.
+    """
     if scheme not in SCHEMES:
         raise DimensionMismatch(f"unknown deflation scheme {scheme!r}")
     per_factor = [opts.with_rank(int(r)) for r in ranks]
     if not per_factor:
         raise DimensionMismatch("need at least one rank")
 
-    dec = Decomposition(scheme=scheme, residual_norms=[frob_norm(X)])
-    residual = X
-    for k, factor_opts in enumerate(per_factor):
-        if scheme == "schur" and not slices_all_psd(residual):
-            warnings.warn(
-                f"residual before factor {k} is not slicewise PSD; "
-                "Schur deflation may increase the residual norm",
-                stacklevel=2,
-            )
-        try:
-            factor, diag = fit_single_factor(residual, factor_opts)
-            residual = deflate(residual, factor, scheme)
-        except SSTPCAError as e:
-            e.args = (f"factor {k}: {e}",)
-            raise
-        dec.factors.append(factor)
-        dec.diagnostics.append(diag)
-        dec.residual_norms.append(frob_norm(residual))
+    with _blas_hold_for(X.p):
+        dec = Decomposition(scheme=scheme, residual_norms=[frob_norm(X)])
+        residual = X
+        for k, factor_opts in enumerate(per_factor):
+            if scheme == "schur" and not slices_all_psd(residual):
+                warnings.warn(
+                    f"residual before factor {k} is not slicewise PSD; "
+                    "Schur deflation may increase the residual norm",
+                    stacklevel=2,
+                )
+            try:
+                factor, diag = fit_single_factor(residual, factor_opts)
+                residual = deflate(residual, factor, scheme)
+            except SSTPCAError as e:
+                e.args = (f"factor {k}: {e}",)
+                raise
+            dec.factors.append(factor)
+            dec.diagnostics.append(diag)
+            dec.residual_norms.append(frob_norm(residual))
 
     scales = [f.d for f in dec.factors]
     if any(b > a for a, b in zip(scales, scales[1:])):

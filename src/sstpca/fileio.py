@@ -149,11 +149,16 @@ def _load_long_csv(path: Path) -> SemiSymTensor:
     p = int(max(i.max(), j.max()))
     data = np.zeros((p, p, times.size))
     a, b = np.minimum(i, j) - 1, np.maximum(i, j) - 1
-    # Rows with equal keys name the same entry; np.unique's index is the first
-    # occurrence of each key, so `keep` holds the row read first of each entry.
+    # Rows with equal keys name the same entry. `first` maps each key to the
+    # lowest row number that names it, so `keep` holds the row read first of
+    # each entry; one O(rows) pass, where np.unique would sort the keys.
     key = (slot * p + a) * p + b
-    _, keep, entry = np.unique(key, return_index=True, return_inverse=True)
-    gap = np.abs(w - w[keep[entry]])
+    rownum = np.arange(key.size)
+    first = np.full(data.size, key.size, dtype=np.intp)
+    np.minimum.at(first, key, rownum)
+    first_of_row = first[key]
+    keep = np.flatnonzero(first_of_row == rownum)
+    gap = np.abs(w - w[first_of_row])
     conflict = np.flatnonzero(gap > DUPLICATE_TOL)
     if conflict.size:
         k = conflict[0]  # the conflict read first

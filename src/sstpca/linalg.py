@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotSymmetric, RankTooLarge, ZeroVector
+from .errors import DimensionMismatch, InvalidParameter, NotSymmetric, RankTooLarge, ZeroVector
 
 ZERO_NORM_TOL = 1e-14
 STIEFEL_TOL = 1e-8
@@ -123,7 +123,9 @@ def sign_aligned_error(u_hat: np.ndarray, u_star: np.ndarray) -> float:
 
 
 def random_stiefel(p: int, r: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed p x r matrix with orthonormal columns."""
+    """Haar-distributed p x r matrix with orthonormal columns, 1 <= r <= p."""
+    if r < 1:
+        raise InvalidParameter(f"r={r} must be at least 1")
     if r > p:
         raise RankTooLarge(f"r={r} exceeds p={p}")
     G = rng.standard_normal((p, r))

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._parallel import _blas_hold_for
 from .decompose import Factor, FitOptions, fit_single_factor
 from .deflate import SCHEMES, deflate
 from .errors import DimensionMismatch, SSTPCAError
@@ -58,6 +59,7 @@ class RankSelectionStep:
     candidates: list = field(default_factory=list)  # (r, bic) pairs
     chosen_r: "int | None" = None
     failed: list = field(default_factory=list)  # (r, error class name) pairs
+    capped: list = field(default_factory=list)  # candidate ranks whose fit hit max_iter
 
 
 def rank_select_bic(
@@ -70,7 +72,10 @@ def rank_select_bic(
     """Greedy selection by BIC: (ranks, steps), one RankSelectionStep per step.
 
     `ranks` may be empty. A candidate rank whose fit raises an SSTPCAError is
-    left out of the step's ``candidates`` and listed in its ``failed``.
+    left out of the step's ``candidates`` and listed in its ``failed``; one
+    whose fit hit ``opts.max_iter`` stays a candidate and is listed in ``capped``.
+    At p <= 500 the whole selection runs with OpenBLAS held at one thread (see
+    `_parallel`), so it does not depend on OPENBLAS_NUM_THREADS.
     """
     if r_max < 1 or r_max > X.p:
         raise DimensionMismatch(f"r_max={r_max} must lie in [1, {X.p}]")
@@ -83,27 +88,30 @@ def rank_select_bic(
     ranks: list[int] = []
     steps: list[RankSelectionStep] = []
     residual = X
-    for _ in range(K_max):
-        rss_residual = distinct_rss(residual)
-        step = RankSelectionStep(null_bic=bic_value(rss_residual, n_obs, 0))
-        best = None  # (bic, r, factor)
-        for r in range(1, r_max + 1):
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    factor, _ = fit_single_factor(residual, opts.with_rank(r))
-            except SSTPCAError as e:
-                step.failed.append((r, type(e).__name__))
-                continue
-            rss = candidate_rss(residual, rss_residual, factor)
-            bic = bic_value(rss, n_obs, n_free_params(X.p, X.T, r))
-            step.candidates.append((r, bic))
-            if best is None or bic < best[0]:
-                best = (bic, r, factor)
-        steps.append(step)
-        if best is None or best[0] > step.null_bic:
-            break
-        step.chosen_r = best[1]
-        ranks.append(best[1])
-        residual = deflate(residual, best[2], scheme)
+    with _blas_hold_for(X.p):
+        for _ in range(K_max):
+            rss_residual = distinct_rss(residual)
+            step = RankSelectionStep(null_bic=bic_value(rss_residual, n_obs, 0))
+            best = None  # (bic, r, factor)
+            for r in range(1, r_max + 1):
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        factor, diag = fit_single_factor(residual, opts.with_rank(r))
+                except SSTPCAError as e:
+                    step.failed.append((r, type(e).__name__))
+                    continue
+                if not diag.converged:
+                    step.capped.append(r)
+                rss = candidate_rss(residual, rss_residual, factor)
+                bic = bic_value(rss, n_obs, n_free_params(X.p, X.T, r))
+                step.candidates.append((r, bic))
+                if best is None or bic < best[0]:
+                    best = (bic, r, factor)
+            steps.append(step)
+            if best is None or best[0] > step.null_bic:
+                break
+            step.chosen_r = best[1]
+            ranks.append(best[1])
+            residual = deflate(residual, best[2], scheme)
     return ranks, steps

@@ -287,8 +287,10 @@ def rate_sweep(
     spawned RNG stream and aggregation runs in fixed replicate order.
     With ``n_threads`` > 1 and ``reps`` > 1 the fits run with BLAS held at
     one thread (see ``ordered_map``), so every such ``n_threads`` gives the
-    same bits as ``n_threads=1`` under one BLAS thread; ``n_threads=1``
-    under a multi-threaded BLAS can differ in the last digits.
+    same bits as ``n_threads=1`` under one BLAS thread. With ``n_threads=1``
+    each fit at p <= 500 holds BLAS at one thread too and gives those bits at
+    any OPENBLAS_NUM_THREADS; above 500 it keeps the process's BLAS threads,
+    and a multi-threaded BLAS can change the last digits.
     Fit warnings are silenced on the calling thread: warning filters are
     process-wide, so worker threads must not enter catch_warnings.
     """

@@ -316,6 +316,17 @@ class TestSimulateCommand:
         assert result.stderr.startswith("error: --tau must lie in 1..T-1")
         assert not out.exists() and not data.exists()
 
+    @pytest.mark.parametrize("preset", ["spike", "shift"])
+    def test_rank_0_is_input_error(self, tmp_path, runner, preset):
+        out, data = tmp_path / "sim.json", tmp_path / "sim.csv"
+        result = runner.invoke(main, [
+            "simulate", "--preset", preset, "--r", "0", "--p", "6", "--t", "4", "--d", "5",
+            "--data-out", str(data), "--output", str(out),
+        ], catch_exceptions=False)
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: r=0 must be at least 1")
+        assert not out.exists() and not data.exists()
+
     def test_spike_truth_schema(self, tmp_path, runner, spike_csv):
         _, truth = spike_csv
         res = json.loads(truth.read_text())["results"]
@@ -381,6 +392,19 @@ class TestRankSelectCommand:
         (step,) = json.loads(out.read_text())["results"]["steps"]
         assert step["failed"] == [[1, "DegenerateIterate"], [2, "DegenerateIterate"]]
         assert step["candidates"] == []
+
+    def test_lists_capped_candidates(self, tmp_path, runner, spike_csv):
+        data, _ = spike_csv
+        out = tmp_path / "rs.json"
+        args = ["rank-select", "--input", str(data), "--r-max", "3", "--k-max", "1",
+                "--output", str(out)]
+        run_ok(runner, args + ["--max-iter", "1"])
+        (step,) = json.loads(out.read_text())["results"]["steps"]
+        assert step["capped"] == [1, 2, 3]
+        assert [r for r, _ in step["candidates"]] == [1, 2, 3]
+        run_ok(runner, args)
+        (step,) = json.loads(out.read_text())["results"]["steps"]
+        assert step["capped"] == []
 
     def test_version_flag(self, runner):
         result = runner.invoke(main, ["--version"])

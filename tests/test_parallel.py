@@ -5,9 +5,15 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from sstpca._parallel import _openblas_controls, ordered_map
+from sstpca import decompose
+from sstpca._parallel import _blas_hold_for, _openblas_controls, ordered_map
+from sstpca.cli import main
+from sstpca.errors import DegenerateIterate
+from sstpca.tensor import SemiSymTensor, ttv3
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -110,3 +116,55 @@ def test_pooled_results_equal_single_blas_thread_results(tmp_path):
     assert _benchmark_results(tmp_path, "2", "2") == single_blas
     assert _benchmark_results(tmp_path, "2", "4") == single_blas
     assert _benchmark_results(tmp_path, "2", "1") == single_blas
+
+
+@needs_openblas
+@pytest.mark.parametrize("p, held", [(500, True), (501, False)], ids=["p500", "p501"])
+def test_fit_policy_holds_blas_at_one_thread_up_to_p500(n_libs, p, held):
+    with _blas_hold_for(p):
+        assert blas_threads() == [1 if held else 2] * n_libs
+    assert blas_threads() == [2] * n_libs
+
+
+@needs_openblas
+def test_fit_restores_blas_threads_when_it_raises(n_libs, monkeypatch):
+    """Slices A and -A weighted by the stable start sum to zero, so the first
+    V-update raises DegenerateIterate inside the fit's hold."""
+    seen = []
+
+    def spy_ttv3(X, u):
+        seen.append(blas_threads())
+        return ttv3(X, u)
+
+    monkeypatch.setattr(decompose, "ttv3", spy_ttv3)
+    A = np.arange(16.0).reshape(4, 4)
+    X = SemiSymTensor(np.stack([A + A.T, -(A + A.T)], axis=2))
+    with pytest.raises(DegenerateIterate):
+        decompose.fit_single_factor(X, decompose.FitOptions())
+    assert seen == [[1] * n_libs]
+    assert blas_threads() == [2] * n_libs
+
+
+def _cli_outputs(tmp_path, data, blas_threads_env: str) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": blas_threads_env}
+    outputs = {}
+    for command, args in [("decompose", ["--ranks", "2,2", "--scheme", "projection"]),
+                          ("changepoint", ["--rank", "2"]),
+                          ("rank-select", ["--r-max", "3", "--k-max", "2"])]:
+        out = tmp_path / f"{command}.json"  # one path for both runs: the JSON echoes it
+        subprocess.run([sys.executable, "-m", "sstpca.cli", command, "--input", str(data), *args,
+                        "--output", str(out)], env=env, check=True, timeout=300)
+        outputs[command] = out.read_bytes()
+    return outputs
+
+
+@needs_openblas
+def test_fits_up_to_p500_give_the_same_bytes_at_any_blas_thread_count(tmp_path):
+    """At p=150 OpenBLAS threads eigh, and without the fit policy's hold the
+    JSON of these commands differs in the last digits between 1 and 2 threads."""
+    data = tmp_path / "shift.csv"
+    result = CliRunner().invoke(main, [
+        "simulate", "--preset", "shift", "--p", "150", "--t", "20", "--r", "2", "--d", "40",
+        "--seed", "7", "--data-out", str(data), "--output", str(tmp_path / "truth.json")])
+    assert result.exit_code == 0, result.output
+    assert _cli_outputs(tmp_path, data, "2") == _cli_outputs(tmp_path, data, "1")
