@@ -7,7 +7,8 @@ package, for example ``src`` of this checkout and ``src`` of an older one
 unpacked with ``git archive``. Every job runs as ``python -m sstpca.cli``
 under each tree with OPENBLAS_NUM_THREADS=1 and OMP_NUM_THREADS=1 (the
 bytes of this CLI are fixed only for a fixed BLAS thread count) and
-SSTPCA_THREADS unset.
+SSTPCA_THREADS unset, except where a matrix job sets its own variables
+(``MATRIX_ENV``) on both trees.
 
 The jobs are the seed-0 job lists of every workload in
 ``perfbench/workloads.py`` (imported, not copied; the inputs are written
@@ -41,6 +42,9 @@ SPIKE = ["--p", "30", "--t", "10", "--r", "2", "--d", "12", "--sigma", "0.5", "-
 SHIFT = ["--p", "20", "--t", "12", "--r", "1", "--d", "8", "--sigma", "0.5", "--seed", "5"]
 SWEEP = ["--p-list", "20,40", "--t", "12", "--d-list", "10,20", "--reps", "4", "--seed", "2"]
 
+FIG3 = ["simulate", "--preset", "fig3", "--p", "20", "--t", "10", "--r-list", "1,3",
+        "--seeds", "3"]
+
 # (name, argv, files written besides the JSON); "{dir}" is the tree's matrix
 # directory, and each job writes its JSON to "{dir}/<name>.json".
 MATRIX = [
@@ -48,8 +52,8 @@ MATRIX = [
      ["spike.csv"]),
     ("shift", ["simulate", "--preset", "shift", *SHIFT, "--data-out", "{dir}/shift.csv"],
      ["shift.csv"]),
-    ("fig3", ["simulate", "--preset", "fig3", "--p", "20", "--t", "10", "--r-list", "1,3",
-              "--seeds", "3", "--csv", "{dir}/fig3.csv"], ["fig3.csv"]),
+    ("fig3", [*FIG3, "--csv", "{dir}/fig3.csv"], ["fig3.csv"]),
+    ("fig3-threads-2", [*FIG3, "--csv", "{dir}/fig3-threads-2.csv"], ["fig3-threads-2.csv"]),
     *[(f"decompose-{scheme}",
        ["decompose", "--input", "{dir}/spike.csv", "--ranks", "2,1", "--scheme", scheme,
         "--edge-threshold", "0.05", "--trace-csv", f"{{dir}}/trace-{scheme}.csv"],
@@ -79,17 +83,21 @@ MATRIX = [
       for preset in ("spike", "shift")],
 ]
 
+# Environment variables a matrix job sets on both trees, by job name.
+MATRIX_ENV = {"fig3-threads-2": {"SSTPCA_THREADS": "2"}}
 
-def env_for(src: Path) -> dict:
+
+def env_for(src: Path, extra: "dict | None" = None) -> dict:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=str(src))
     env.pop("SSTPCA_THREADS", None)
+    env.update(extra or {})
     return env
 
 
-def run(argv: list, src: Path) -> tuple:
+def run(argv: list, src: Path, extra_env: "dict | None" = None) -> tuple:
     """(exit code, stderr) of one CLI process under the tree `src`."""
-    proc = subprocess.run([sys.executable, "-m", "sstpca.cli", *argv], env=env_for(src),
-                          capture_output=True)
+    proc = subprocess.run([sys.executable, "-m", "sstpca.cli", *argv],
+                          env=env_for(src, extra_env), capture_output=True)
     return proc.returncode, proc.stderr
 
 
@@ -157,7 +165,8 @@ def matrix_jobs(work: Path, trees: dict) -> bool:
         for side, src in trees.items():
             d = dirs[side]
             args = [a.replace("{dir}", str(d)) for a in argv]
-            code, err = run([*args, "--output", str(d / f"{name}.json")], src)
+            code, err = run([*args, "--output", str(d / f"{name}.json")], src,
+                            MATRIX_ENV.get(name))
             runs.append((code, err, [(d, "<dir>")]))
             paths.append([d / f"{name}.json", *(d / f for f in extra)])
         ok &= compare(f"matrix/{name}", runs, list(zip(*paths)))

@@ -1,4 +1,4 @@
-"""Layer micro-benchmarks: the worker pool of ``rate_sweep`` and p=100 eigh.
+"""Layer micro-benchmarks: the Monte Carlo engine's worker pool and p=100 eigh.
 
 Run with a pinned BLAS thread count above 1, for example
 
@@ -15,6 +15,11 @@ pool and BLAS left alone. Each case reports min and median over its rounds.
 - ``test_eigh_p100[serial]`` and ``test_eigh_p100[pool]``: 32 full eigh calls
   of one symmetric 100 x 100 matrix, in a plain loop (``n_threads=1``) and
   spread over 2 workers by ``ordered_map``.
+- ``test_engine_criterion_4_reps[serial]`` and ``[pool]``: one
+  ``simulate._run_reps`` call on 8 of acceptance criterion 4's reps (p=200,
+  T=20, the first 4 seeds of each rank 1 and 5, ``max_iter=1000``), on 1 and
+  on 2 workers. Run this one at OPENBLAS_NUM_THREADS=1: it measures what the
+  pool gains on one-thread fits, as criterion 4 runs them.
 """
 
 import warnings
@@ -23,7 +28,7 @@ import numpy as np
 import pytest
 
 from sstpca._parallel import ordered_map
-from sstpca.simulate import SweepCell, rate_sweep
+from sstpca.simulate import SweepCell, _run_reps, rate_sweep
 
 SEED = 20220209
 CALLS = 32
@@ -50,3 +55,12 @@ def test_eigh_p100(benchmark, sym100, n_threads):
     out = benchmark.pedantic(ordered_map, args=(lambda _: np.linalg.eigh(sym100), range(CALLS),
                                                 n_threads), rounds=10)
     assert len(out) == CALLS
+
+
+@pytest.mark.parametrize("n_threads", [1, 2], ids=["serial", "pool"])
+def test_engine_criterion_4_reps(benchmark, n_threads):
+    reps = [(SweepCell(200, 20, r, 15.0 * r ** (-0.25), 1.0, "constant", "positive"), child)
+            for r in (1, 5) for child in np.random.SeedSequence(2024).spawn(20)[:4]]
+    fits = benchmark.pedantic(_run_reps, args=(reps, 1000), kwargs={"n_threads": n_threads},
+                              rounds=3)
+    assert len(fits) == 8

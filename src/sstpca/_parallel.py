@@ -1,10 +1,11 @@
-"""Deterministic work-pool helpers and the BLAS thread policy of a fit.
+"""Deterministic work pool, the BLAS thread policy of a fit and a C-heap release.
 
-Results are collected in submission order. While the pool runs, every
-loaded OpenBLAS is held at one thread, so each worker runs its LAPACK calls
-on its own core instead of competing with BLAS helper threads. Pool results
-therefore equal those of a serial run with one BLAS thread, bit for bit,
-for any worker count.
+`ordered_map` is the one worker pool: `simulate._run_reps` sends all reps
+of a sweep or of fig3 through one call, and results keep submission order.
+While it runs on two or more workers, every loaded OpenBLAS is held at one
+thread, so each worker runs its LAPACK calls on its own core instead of
+competing with BLAS helper threads, and the results equal those of a serial
+run with one BLAS thread, bit for bit, for any worker count.
 
 Outside a pool, `_blas_hold_for(p)` sets the thread policy of a fit on a
 p-node network: at p <= ONE_BLAS_THREAD_MAX_P (500) the fit runs under the
@@ -131,6 +132,14 @@ def _blas_hold_for(p: int):
     not be entered while another thread of the process is inside a BLAS call.
     """
     return _single_threaded_blas if p <= ONE_BLAS_THREAD_MAX_P else contextlib.nullcontext()
+
+
+def _release_free_heap() -> None:
+    """Return the C heap's free pages to the OS: glibc's malloc_trim(0), else nothing."""
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+        trim(0)
 
 
 def ordered_map(fn, items, n_threads: int = 1) -> list:

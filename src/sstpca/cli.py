@@ -4,14 +4,9 @@ Five subcommands: ``decompose``, ``changepoint``, ``simulate``,
 ``benchmark``, and ``rank-select``. Every command writes one canonical
 JSON artifact (sorted keys, no timestamps); tabular side products go to
 CSV. For a fixed seed and a fixed BLAS thread count (OPENBLAS_NUM_THREADS
-and the like) the bytes are identical across runs. A fit on a network of
-p <= 500 nodes holds OpenBLAS at one thread (see `_parallel`), so it gives
-the bytes of a one-BLAS-thread run at any OPENBLAS_NUM_THREADS; above 500 it
-keeps the process's BLAS threads, whose count can change the last digits,
-because the eigensolver's rounding depends on it. ``benchmark`` with two or
-more worker threads and reps holds OpenBLAS at one thread while its pool
-runs, so every such worker count gives the bytes of a one-BLAS-thread run,
-as does ``--threads 1`` at p <= 500.
+and the like) the bytes are identical across runs; `_parallel` says when
+they are the same at every BLAS thread count. ``benchmark`` and
+``simulate --preset fig3`` run all their reps on one worker pool.
 
 All five commands run through one runner, `_command`, which owns the exit
 codes: 0 success, 2 input error, 1 flagged non-convergence. Only
@@ -19,10 +14,10 @@ codes: 0 success, 2 input error, 1 flagged non-convergence. Only
 commands exit 0 even when a fit inside them hits the iteration cap.
 
 The ``config`` block of each artifact echoes exactly the options of the
-command that ran, plus ``command``. The worker thread count comes from
-``--threads`` or the SSTPCA_THREADS environment variable (a value that is
-not a positive integer is an input error) and is not echoed: with a
-fixed BLAS thread count of 1 it never affects results.
+command that ran, plus ``command``. The worker count comes from
+``benchmark --threads``, else the SSTPCA_THREADS environment variable (a
+value that is not a positive integer is an input error), and is not
+echoed: with a fixed BLAS thread count of 1 it never affects results.
 """
 
 from __future__ import annotations
@@ -30,7 +25,6 @@ from __future__ import annotations
 import csv
 import sys
 import warnings
-from dataclasses import replace
 from types import SimpleNamespace
 
 import click
@@ -39,7 +33,8 @@ import numpy as np
 from . import __version__
 from ._parallel import resolve_threads
 from .changepoint import detect_changepoint, detection_snr
-from .decompose import FitOptions, fit_single_factor
+# perfbench/tracer.py wraps each calling module's fit_single_factor, this one's included.
+from .decompose import FitOptions, fit_single_factor  # noqa: F401
 from .deflate import SCHEMES, fit_multi
 from .errors import InvalidParameter, ParseError, SSTPCAError
 from .fileio import (
@@ -50,11 +45,11 @@ from .fileio import (
     write_json,
     write_long_csv,
 )
-from .linalg import procrustes_aligned_rmse, random_stiefel, random_unit, sign_aligned_error
+from .linalg import random_stiefel, random_unit
 from .ranksel import rank_select_bic
 from .simulate import (
     SweepCell,
-    _stat_iteration,
+    _run_reps,
     goe_noise,
     rate_sweep,
     spike_model,
@@ -243,26 +238,13 @@ def changepoint(cfg: SimpleNamespace):
     return results, None if res.diagnostics.converged else "fit did not converge"
 
 
-def _simulate_spike(cfg: SimpleNamespace, opts: FitOptions) -> dict:
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+def _simulate_spike(cfg: SimpleNamespace, rng: np.random.Generator) -> tuple:
     X, truth = spike_model(cfg.p, cfg.T, cfg.r, cfg.d, cfg.sigma, cfg.u_mode, rng)
-    if cfg.data_out:
-        write_long_csv(X, cfg.data_out)
-    return {
-        "p": cfg.p,
-        "T": cfg.T,
-        "r": cfg.r,
-        "d": truth.d,
-        "sigma": truth.sigma,
-        "snr": truth.snr,
-        "u_star": truth.u_star,
-        "V_star": truth.V_star.ravel(order="C"),
-        "data_path": cfg.data_out,
-    }
+    return X, {"d": truth.d, "sigma": truth.sigma, "snr": truth.snr, "u_star": truth.u_star,
+               "V_star": truth.V_star.ravel(order="C")}
 
 
-def _simulate_shift(cfg: SimpleNamespace, opts: FitOptions) -> dict:
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+def _simulate_shift(cfg: SimpleNamespace, rng: np.random.Generator) -> tuple:
     tau = cfg.tau if cfg.tau is not None else cfg.T // 2
     if not 1 <= tau <= cfg.T - 1:
         raise InvalidParameter(f"--tau must lie in 1..T-1 = 1..{cfg.T - 1}, got {tau}")
@@ -274,68 +256,56 @@ def _simulate_shift(cfg: SimpleNamespace, opts: FitOptions) -> dict:
     noise[:, :, :tau] += M1[:, :, None]
     noise[:, :, tau:] += M2[:, :, None]
     # GOE noise plus d VV' (bit-symmetric from numpy's A @ A.T) is exactly symmetric.
-    X = SemiSymTensor._trusted(noise)
-    if cfg.data_out:
-        write_long_csv(X, cfg.data_out)
-    return {
-        "p": cfg.p,
-        "T": cfg.T,
-        "r": cfg.r,
+    return SemiSymTensor._trusted(noise), {
         "d": cfg.d,
         "sigma": cfg.sigma,
         "tau_star": tau,
         "detection_snr": detection_snr(M1, M2, tau, cfg.T, cfg.sigma) if cfg.sigma > 0 else None,
         "V1": V1.ravel(order="C"),
         "V2": V2.ravel(order="C"),
-        "data_path": cfg.data_out,
     }
 
 
-def _simulate_fig3(cfg: SimpleNamespace, opts: FitOptions) -> dict:
-    """Computational-vs-statistical convergence traces at low SNR."""
+def _simulate_fig3(cfg: SimpleNamespace) -> dict:
+    """Computational-vs-statistical convergence traces at low SNR.
+
+    Constant truth with a random positive-orthant start, informative but not
+    an oracle; the reps run on SSTPCA_THREADS workers.
+    """
     if cfg.seeds < 1:
         raise InvalidParameter(f"--seeds must be at least 1, got {cfg.seeds}")
     if not cfg.r_list or min(cfg.r_list) < 1:
         raise InvalidParameter(f"--r-list must hold ranks of at least 1, got {list(cfg.r_list)}")
+    cells = [SweepCell(cfg.p, cfg.T, r, 15.0 * r ** (-0.25), cfg.sigma, "constant", "positive")
+             for r in cfg.r_list]
+    master = np.random.SeedSequence(cfg.seed)
+    fits = _run_reps([(cell, child) for cell in cells for child in master.spawn(cfg.seeds)],
+                     cfg.max_iter, cfg.tol, resolve_threads(), all_iterates=True)
     rows = []
     summary = {}
-    master = np.random.SeedSequence(cfg.seed)
-    for r in cfg.r_list:
-        d = 15.0 * r ** (-0.25)
-        stat_by_8 = 0
-        comp_ge_15 = 0
-        final_armses = []
-        for s, child in enumerate(master.spawn(cfg.seeds)):
-            rng = np.random.default_rng(child)
-            X, truth = spike_model(cfg.p, cfg.T, r, d, cfg.sigma, "constant", rng)
-            # Constant truth with a random positive-orthant start, so the
-            # initialization is informative but not an oracle.
-            u0 = random_unit(cfg.T, rng, positive=True)
-            _, diag = fit_single_factor(X, replace(opts, rank=r, init=u0))
-            # The last iterate is the fitted basis, so its error is the final one.
-            armses = [procrustes_aligned_rmse(V_k, truth.V_star)[1] for V_k in diag.V_trace]
-            final_armses.append(armses[-1])
-            for k, (u_k, armse_k) in enumerate(zip(diag.u_trace, armses)):
-                u_err_k = float(sign_aligned_error(u_k, truth.u_star) / np.sqrt(cfg.T))
-                rows.append([r, s, k + 1, repr(diag.objective[k]), repr(armse_k), repr(u_err_k)])
-            stat_by_8 += _stat_iteration(armses, armses[-1]) <= 8
-            comp_ge_15 += diag.iterations >= 15
-        summary[str(r)] = {
-            "d": d,
-            "frac_stat_by_8": stat_by_8 / cfg.seeds,
-            "frac_comp_ge_15": comp_ge_15 / cfg.seeds,
-            "mean_final_armse": np.mean(final_armses),
+    for i, cell in enumerate(cells):
+        group = fits[i * cfg.seeds:(i + 1) * cfg.seeds]
+        for s, fit in enumerate(group):
+            for k, (armse_k, u_err_k) in enumerate(zip(fit.armses, fit.u_errs)):
+                rows.append([cell.r, s, k + 1, repr(fit.diag.objective[k]), repr(armse_k),
+                             repr(u_err_k)])
+        summary[str(cell.r)] = {
+            "d": cell.d,
+            "frac_stat_by_8": sum(f.stat_iteration <= 8 for f in group) / cfg.seeds,
+            "frac_comp_ge_15": sum(f.diag.iterations >= 15 for f in group) / cfg.seeds,
+            "mean_final_armse": np.mean([f.armse for f in group]),
         }
     _write_csv(cfg.csv_out, ["r", "seed", "iteration", "objective", "armse", "u_err"], rows)
     return {"per_rank": summary, "trace_csv": cfg.csv_out, "seeds": cfg.seeds}
 
 
-_PRESETS = {"spike": _simulate_spike, "shift": _simulate_shift, "fig3": _simulate_fig3}
+# Presets that draw one instance: (X, results) from the seeded generator.
+_INSTANCE_PRESETS = {"spike": _simulate_spike, "shift": _simulate_shift}
 
 
 @_command(
     "simulate",
-    click.option("--preset", required=True, type=click.Choice(list(_PRESETS))),
+    click.option("--preset", required=True, type=click.Choice([*_INSTANCE_PRESETS, "fig3"])),
     click.option("--p", default=40, type=int),
     click.option("--t", "T", default=20, type=int),
     click.option("--r", default=1, type=int),
@@ -353,8 +323,14 @@ _PRESETS = {"spike": _simulate_spike, "shift": _simulate_shift, "fig3": _simulat
 )
 def simulate(cfg: SimpleNamespace):
     """Generate synthetic instances or convergence-trace experiments."""
-    opts = FitOptions(max_iter=cfg.max_iter, tol=cfg.tol)
-    return _PRESETS[cfg.preset](cfg, opts), None
+    FitOptions(max_iter=cfg.max_iter, tol=cfg.tol)  # checks --max-iter and --tol for every preset
+    if cfg.preset == "fig3":
+        return _simulate_fig3(cfg), None
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    X, results = _INSTANCE_PRESETS[cfg.preset](cfg, rng)
+    if cfg.data_out:
+        write_long_csv(X, cfg.data_out)
+    return {"p": cfg.p, "T": cfg.T, "r": cfg.r, "data_path": cfg.data_out, **results}, None
 
 
 @_command(

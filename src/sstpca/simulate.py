@@ -11,11 +11,11 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ._parallel import ordered_map
+from ._parallel import _release_free_heap, ordered_map
 from .decompose import Factor, FitDiagnostics, FitOptions, fit_single_factor
 from .errors import BudgetExceeded, DimensionMismatch, InvalidParameter, InvalidProbability
 from .linalg import (
@@ -191,7 +191,7 @@ class SweepCell:
     d: float
     sigma: float
     u_mode: str = "sphere"  # sphere | positive | constant
-    init: str = "stable"  # stable | random | oracle
+    init: str = "stable"  # stable | random | positive (random positive-orthant) | oracle
 
 
 @dataclass
@@ -236,33 +236,70 @@ def _recon_error(factor: Factor, truth: SpikeTruth) -> float:
     return math.sqrt(max(diff2, 0.0)) / math.sqrt(signal2)
 
 
-def _run_rep(cell: SweepCell, seed_seq, max_iter: int, tol: float):
+@dataclass(frozen=True)
+class _RepFit:
+    """One rep's fit scored against its truth on the worker that fitted it.
+
+    Python numbers only: holding each rep's arrays until a 240-rep sweep ends
+    raised its peak RSS by a tenth.
+    """
+
+    diag: FitDiagnostics  # without u_trace and V_trace
+    armses: list  # aligned error of each iterate, with all_iterates only
+    u_errs: list  # sign-aligned u error of each iterate over sqrt(T), likewise
+    armse: float  # of the fitted basis
+    stat_iteration: int
+    u_err: float
+    recon_err: float
+
+
+def _run_rep(cell: SweepCell, seed_seq, max_iter: int, tol: float,
+             all_iterates: bool) -> _RepFit:
     rng = np.random.default_rng(seed_seq)
     X, truth = spike_model(cell.p, cell.T, cell.r, cell.d, cell.sigma, cell.u_mode, rng)
     if cell.init == "oracle":
         init = truth.u_star
-    elif cell.init == "random":
-        init = random_unit(cell.T, rng)
+    elif cell.init in ("random", "positive"):
+        init = random_unit(cell.T, rng, positive=(cell.init == "positive"))
     elif cell.init == "stable":
         init = "stable"
     else:
         raise InvalidParameter(f"unknown init scheme {cell.init!r}")
     opts = FitOptions(rank=cell.r, max_iter=max_iter, tol=tol, init=init)
     factor, diag = fit_single_factor(X, opts)
-    u_err = sign_aligned_error(factor.u, truth.u_star) / np.sqrt(cell.T)
+    # At p=1000 the fit leaves 20-50 MB of freed eigensolver work arrays in the
+    # heap, which glibc keeps resident behind any small array left above them.
+    _release_free_heap()
     _, armse = procrustes_aligned_rmse(factor.V, truth.V_star)
-    armses = (procrustes_aligned_rmse(V, truth.V_star)[1] for V in diag.V_trace)
-    return (
-        u_err,
-        armse,
-        _recon_error(factor, truth),
-        _stat_iteration(armses, armse),
-        diag.iterations,
-        1.0 if diag.converged else 0.0,
-    )
+    errors = (procrustes_aligned_rmse(V, truth.V_star)[1] for V in diag.V_trace)
+    armses, u_errs = [], []
+    if all_iterates:
+        armses = list(errors)
+        u_errs = [float(sign_aligned_error(u, truth.u_star) / np.sqrt(cell.T))
+                  for u in diag.u_trace]
+    # Otherwise _stat_iteration scores the iterates only up to the statistical one.
+    stat_iteration = _stat_iteration(armses if all_iterates else errors, armse)
+    return _RepFit(replace(diag, u_trace=[], V_trace=[]), armses, u_errs, armse, stat_iteration,
+                   sign_aligned_error(factor.u, truth.u_star) / np.sqrt(cell.T),
+                   _recon_error(factor, truth))
 
 
-# (metric, mean field, SD field or None) in _run_rep's tuple order: rep column k is metric k.
+def _run_reps(reps, max_iter: int = 200, tol: float = 1e-8, n_threads: int = 1,
+              all_iterates: bool = False) -> list:
+    """`_RepFit` of each seeded rep, a (SweepCell, SeedSequence) pair, in order.
+
+    A rep draws its instance from `spike_model`, then any random start, from
+    its own generator. All reps go through one `ordered_map` call (see
+    `_parallel` for the BLAS threads). Fit warnings are silenced on the
+    calling thread: the filters are process-wide, so workers must not touch them.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return ordered_map(lambda rep: _run_rep(*rep, max_iter, tol, all_iterates),
+                           reps, n_threads)
+
+
+# (metric, mean field, SD field or None) in rate_sweep's column order.
 _SWEEP_METRICS = (
     ("u_err", "u_err_mean", "u_err_sd"),
     ("armse", "armse_mean", "armse_sd"),
@@ -284,29 +321,19 @@ def rate_sweep(
     """Mean and SD of recovery errors for every grid cell.
 
     Deterministic for a fixed seed: each (cell, rep) pair gets its own
-    spawned RNG stream and aggregation runs in fixed replicate order.
-    With ``n_threads`` > 1 and ``reps`` > 1 the fits run with BLAS held at
-    one thread (see ``ordered_map``), so every such ``n_threads`` gives the
-    same bits as ``n_threads=1`` under one BLAS thread. With ``n_threads=1``
-    each fit at p <= 500 holds BLAS at one thread too and gives those bits at
-    any OPENBLAS_NUM_THREADS; above 500 it keeps the process's BLAS threads,
-    and a multi-threaded BLAS can change the last digits.
-    Fit warnings are silenced on the calling thread: warning filters are
-    process-wide, so worker threads must not enter catch_warnings.
+    spawned RNG stream and aggregation runs in fixed replicate order. The
+    whole grid is one `_run_reps` call, so one pool serves every cell.
     """
     cells = list(cells)
     if not cells or reps < 1:
         raise DimensionMismatch("need a nonempty grid and reps >= 1")
     cell_seeds = np.random.SeedSequence(seed).spawn(len(cells))
+    fits = _run_reps([(cell, rep_seed) for cell, cell_seed in zip(cells, cell_seeds)
+                      for rep_seed in cell_seed.spawn(reps)], max_iter, tol, n_threads)
     results = []
-    for cell, cell_seed in zip(cells, cell_seeds):
-        rep_seeds = cell_seed.spawn(reps)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rows = ordered_map(
-                lambda s, c=cell: _run_rep(c, s, max_iter, tol), rep_seeds, n_threads
-            )
-        arr = np.asarray(rows)
+    for i, cell in enumerate(cells):
+        arr = np.asarray([(f.u_err, f.armse, f.recon_err, f.stat_iteration, f.diag.iterations,
+                           float(f.diag.converged)) for f in fits[i * reps:(i + 1) * reps]])
         stats = {}
         for k, (_, mean_attr, sd_attr) in enumerate(_SWEEP_METRICS):
             stats[mean_attr] = float(arr[:, k].mean())

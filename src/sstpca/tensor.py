@@ -123,10 +123,12 @@ def ttv3(X, u: np.ndarray) -> np.ndarray:
 def trace_product(X, V: np.ndarray) -> np.ndarray:
     """T-vector with entries trace(V' X_t V)."""
     data = _as_data(X)
-    V = _columns(V)
+    # numpy computes V @ V.T of a contiguous V as one mirrored triangle (syrk),
+    # exactly symmetric; a strided V can take a path whose triangles differ.
+    V = np.ascontiguousarray(_columns(V))
     if V.shape[0] != data.shape[0]:
         raise DimensionMismatch(f"V has {V.shape[0]} rows, tensor has p={data.shape[0]}")
-    return np.einsum("ijt,ij->t", data, sym(V @ V.T))
+    return np.einsum("ijt,ij->t", data, V @ V.T)
 
 
 def _add_rank1(data: np.ndarray, d: float, V: np.ndarray, u: np.ndarray) -> np.ndarray:

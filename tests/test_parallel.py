@@ -105,17 +105,34 @@ def _benchmark_results(tmp_path, blas_threads_env: str, workers: str) -> dict:
     return json.loads(out.read_text())["results"]
 
 
+def _fig3_outputs(tmp_path, blas_threads_env: str, workers: str) -> tuple:
+    """JSON and CSV bytes of a p=100 fig3 run on SSTPCA_THREADS workers."""
+    out, trace = tmp_path / "fig3.json", tmp_path / "fig3.csv"  # the JSON echoes both paths
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": blas_threads_env,
+           "SSTPCA_THREADS": workers}
+    subprocess.run(
+        [sys.executable, "-m", "sstpca.cli", "simulate", "--preset", "fig3", "--p", "100",
+         "--t", "20", "--r-list", "1,3", "--seeds", "3", "--seed", "5", "--csv", str(trace),
+         "--output", str(out)],
+        env=env, check=True, timeout=300,
+    )
+    return out.read_bytes(), trace.read_bytes()
+
+
 @needs_openblas
 def test_pooled_results_equal_single_blas_thread_results(tmp_path):
     """At p=100 OpenBLAS threads its eigensolver. Pools of 2 and 4 workers
     run with one BLAS thread and give the bits of a one-BLAS-thread run.
     A serial run under 2 BLAS threads gives them too, since recon_err is
     computed in closed form instead of by a threaded dot over a dense
-    p x p x T difference, the one reduction here that changed with it."""
+    p x p x T difference, the one reduction here that changed with it.
+    fig3 runs its reps on the same pool, so 2 workers under 2 BLAS threads
+    write the JSON and CSV bytes of a serial one-BLAS-thread run."""
     single_blas = _benchmark_results(tmp_path, "1", "1")
     assert _benchmark_results(tmp_path, "2", "2") == single_blas
     assert _benchmark_results(tmp_path, "2", "4") == single_blas
     assert _benchmark_results(tmp_path, "2", "1") == single_blas
+    assert _fig3_outputs(tmp_path, "2", "2") == _fig3_outputs(tmp_path, "1", "1")
 
 
 @needs_openblas

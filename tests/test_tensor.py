@@ -161,6 +161,25 @@ class TestTraceProduct:
         expected = [np.trace(V.T @ X.slice(t) @ V) for t in range(3)]
         assert np.allclose(trace_product(X, V), expected, atol=1e-12)
 
+    @pytest.mark.parametrize("p", [37, 300])
+    @pytest.mark.parametrize("kind", ["orthonormal", "eigen-scaled", "vector"])
+    def test_equals_symmetrized_product_bit_for_bit(self, p, kind):
+        rng = np.random.default_rng(p)
+        X = random_tensor(rng, p=p, T=4)
+        V = random_stiefel(p, 3, rng)
+        V = {"orthonormal": V, "eigen-scaled": V * np.sqrt([9.0, 2.5, 0.3]),
+             "vector": V[:, 0]}[kind]
+        W = V.reshape(p, -1)
+        assert np.array_equal(trace_product(X, V), np.einsum("ijt,ij->t", X.data, sym(W @ W.T)))
+
+    def test_strided_basis_gives_the_bits_of_its_contiguous_copy(self):
+        # At p=300 numpy's product of this column-strided V with its transpose
+        # is not exactly symmetric.
+        rng = np.random.default_rng(4)
+        X = random_tensor(rng, p=300, T=4)
+        V = random_stiefel(300, 6, rng)[:, ::2]
+        assert np.array_equal(trace_product(X, V), trace_product(X, V.copy()))
+
     def test_linearity(self):
         rng = np.random.default_rng(3)
         X, Y = random_tensor(rng), random_tensor(rng)
