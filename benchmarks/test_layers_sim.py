@@ -16,6 +16,13 @@ Each case reports min and median over its rounds.
   candidate at p=300, T=20, given the residual's own RSS.
 - ``test_validation_p300``: the validating ``SemiSymTensor(...)`` constructor
   on a p=300, T=20 array.
+- ``test_eigen_block_p1000``: one V-update eigen-block, ``_best_eigen_block``
+  of a fresh copy of the u-weighted slice sum at p=1000, rank 3.
+
+``test_spike_model[p1000]`` and ``test_eigen_block_p1000`` also record in
+``extra_info`` the ``tracemalloc`` peak of one untimed call
+(``tracemalloc_peak_bytes``: numpy's arrays, not LAPACK's work space) next
+to the bytes of the array the call returns or consumes.
 
 The fitted factors are the truth moved by a small random rotation and
 rescaling; the cost of both error evaluations does not depend on how good
@@ -24,14 +31,16 @@ the fit is. On a checkout without ``simulate._recon_error`` or
 functions replaced, so one copy of this file compares the two.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sstpca.decompose import Factor
+from sstpca.decompose import Factor, _best_eigen_block
 from sstpca.linalg import normalize
 from sstpca.ranksel import distinct_rss
 from sstpca.simulate import spike_model
-from sstpca.tensor import SemiSymTensor, frob_norm, rank1_outer
+from sstpca.tensor import SemiSymTensor, frob_norm, rank1_outer, ttv3
 
 try:
     from sstpca.simulate import _recon_error
@@ -54,6 +63,16 @@ def _spike(p):
     return spike_model(p, T, R, D, SIGMA, "sphere", np.random.default_rng(SEED))
 
 
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes of numpy arrays alive during one call of fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _near_fit(truth, rng):
     V, _ = np.linalg.qr(truth.V_star + 0.05 * rng.standard_normal(truth.V_star.shape))
     u = normalize(truth.u_star + 0.05 * rng.standard_normal(truth.u_star.shape))
@@ -64,6 +83,9 @@ def _near_fit(truth, rng):
 def test_spike_model(benchmark, p):
     X, _ = benchmark.pedantic(_spike, args=(p,), rounds=5 if p == 1000 else 20)
     assert X.shape == (p, p, T)
+    if p == 1000:
+        benchmark.extra_info["tracemalloc_peak_bytes"] = _traced_peak(_spike, p)
+        benchmark.extra_info["output_bytes"] = X.data.nbytes
 
 
 def test_recon_error(benchmark):
@@ -88,3 +110,13 @@ def test_validation_p300(benchmark):
     A = A + A.transpose(1, 0, 2)
     X = benchmark.pedantic(SemiSymTensor, args=(A,), rounds=20)
     assert np.array_equal(X.data, A)
+
+
+def test_eigen_block_p1000(benchmark):
+    X, truth = _spike(1000)
+    M = ttv3(X, truth.u_star)
+    del X
+    V, _ = benchmark.pedantic(_best_eigen_block, setup=lambda: ((M.copy(), R), {}), rounds=5)
+    assert V.shape == (1000, R)
+    benchmark.extra_info["tracemalloc_peak_bytes"] = _traced_peak(_best_eigen_block, M.copy(), R)
+    benchmark.extra_info["target_bytes"] = M.nbytes

@@ -1,4 +1,4 @@
-"""Deterministic work pool, the BLAS thread policy of a fit and a C-heap release.
+"""Deterministic work pool and the BLAS thread policy of a fit.
 
 `ordered_map` is the one worker pool: `simulate._run_reps` sends all reps
 of a sweep or of fig3 through one call, and results keep submission order.
@@ -11,7 +11,8 @@ Outside a pool, `_blas_hold_for(p)` sets the thread policy of a fit on a
 p-node network: at p <= ONE_BLAS_THREAD_MAX_P (500) the fit runs under the
 same one-thread hold, so it gives the bits of a one-BLAS-thread run at any
 OPENBLAS_NUM_THREADS; above 500 it keeps the process's BLAS threads, whose
-count can change the last digits. `fit_single_factor` enters it, and
+count can change the last digits. `fit_single_factor` enters it,
+`cli.simulate` enters it while it draws a spike or shift instance, and
 `fit_multi` and `rank_select_bic` enter it once around their whole fit loop:
 after each release the next threaded BLAS call wakes the OpenBLAS helper
 threads, which then spin for about 0.1 s of CPU.
@@ -132,14 +133,6 @@ def _blas_hold_for(p: int):
     not be entered while another thread of the process is inside a BLAS call.
     """
     return _single_threaded_blas if p <= ONE_BLAS_THREAD_MAX_P else contextlib.nullcontext()
-
-
-def _release_free_heap() -> None:
-    """Return the C heap's free pages to the OS: glibc's malloc_trim(0), else nothing."""
-    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
-    if trim is not None:
-        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-        trim(0)
 
 
 def ordered_map(fn, items, n_threads: int = 1) -> list:

@@ -31,7 +31,7 @@ import click
 import numpy as np
 
 from . import __version__
-from ._parallel import resolve_threads
+from ._parallel import _blas_hold_for, resolve_threads
 from .changepoint import detect_changepoint, detection_snr
 # perfbench/tracer.py wraps each calling module's fit_single_factor, this one's included.
 from .decompose import FitOptions, fit_single_factor  # noqa: F401
@@ -327,7 +327,10 @@ def simulate(cfg: SimpleNamespace):
     if cfg.preset == "fig3":
         return _simulate_fig3(cfg), None
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    X, results = _INSTANCE_PRESETS[cfg.preset](cfg, rng)
+    # The fit policy's hold also spares the instance's first threaded LAPACK
+    # call, which in a fresh process can stall for about 0.8 s.
+    with _blas_hold_for(cfg.p):
+        X, results = _INSTANCE_PRESETS[cfg.preset](cfg, rng)
     if cfg.data_out:
         write_long_csv(X, cfg.data_out)
     return {"p": cfg.p, "T": cfg.T, "r": cfg.r, "data_path": cfg.data_out, **results}, None

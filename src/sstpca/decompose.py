@@ -23,7 +23,7 @@ from .errors import (
     SingularSmoother,
     ZeroVector,
 )
-from .linalg import eigen_block, normalize, sin_theta_frob, sym
+from .linalg import _sym_into, eigen_block, normalize, sin_theta_frob
 from .tensor import SemiSymTensor, frob_norm, rank1_outer, trace_product, ttv3
 
 DEGENERATE_OPNORM_TOL = 1e-14
@@ -122,9 +122,13 @@ def _best_eigen_block(
     descending |eigenvalue| order with the usual sign convention. In the
     eigen-scaled mode the columns are multiplied by sqrt(|lam|), dropping
     orthonormality.
+
+    Consumes its target: M is symmetrized in place (the bits of `sym(M)`),
+    so the only p x p array held next to the eigensolver is M itself.
+    Callers pass a fresh array.
     """
-    M = sym(M)
-    if np.abs(M).max() < DEGENERATE_OPNORM_TOL:
+    M = _sym_into(M, M)
+    if max(M.max(), -M.min()) < DEGENERATE_OPNORM_TOL:
         raise DegenerateIterate("weighted slice sum is numerically zero")
 
     def top_or_bottom(w):

@@ -22,7 +22,7 @@ import numpy as np
 from ._parallel import _blas_hold_for
 from .decompose import Factor, FitOptions, fit_single_factor
 from .errors import DimensionMismatch, NonFiniteEntry, SingularSchurBlock, SSTPCAError
-from .linalg import sym
+from .linalg import _sym_into
 from .tensor import SemiSymTensor, _add_rank1, frob_norm, ttm, ttv3
 from .tensor import new_from_slices  # noqa: F401  (perfbench times deflate.new_from_slices)
 
@@ -94,7 +94,8 @@ def deflate(X: SemiSymTensor, f: Factor, scheme: str) -> SemiSymTensor:
             # With P = I - VV' and symmetric X_t, P X_t P = X_t - V (X_t V)' - (P X_t V) V',
             # which costs O(p^2 r) per slice instead of the O(p^3) of dense products.
             PXV = XV - V @ (V.T @ XV)
-            slices = slices - V @ np.swapaxes(XV, 1, 2) - PXV @ V.T
+            res = slices - V @ np.swapaxes(XV, 1, 2)
+            res -= PXV @ V.T
         else:
             # X_t - X_t V (V' X_t V)^{-1} V' X_t, with all T blocks V' X_t V at once.
             blocks = V.T @ XV
@@ -103,12 +104,13 @@ def deflate(X: SemiSymTensor, f: Factor, scheme: str) -> SemiSymTensor:
             bad = np.flatnonzero(~np.isfinite(cond) | (cond >= SCHUR_COND_LIMIT))
             if bad.size:
                 raise SingularSchurBlock(int(bad[0]), cond=float(cond[bad[0]]))
-            slices = slices - XV @ np.linalg.solve(blocks, np.swapaxes(XV, 1, 2))
-        # Then (I - uu') along the slice mode.
-        slices = slices - f.u[:, None, None] * np.tensordot(f.u, slices, axes=1)
-        # Back to C order before symmetrizing: einsum sums in memory order, so
-        # a (T, p, p)-major residual would change later fits in the last bits.
-        out = sym(np.ascontiguousarray(np.moveaxis(slices, 0, 2)))
+            res = slices - XV @ np.linalg.solve(blocks, np.swapaxes(XV, 1, 2))
+        # Then (I - uu') along the slice mode, in place on the first subtraction's
+        # array (C-ordered (T, p, p), which fixes the bits of the tensordot).
+        res -= f.u[:, None, None] * np.tensordot(f.u, res, axes=1)
+        # Symmetrize into C order: einsum sums in memory order, so a (T, p, p)-major
+        # residual would change later fits in the last bits.
+        out = _sym_into(np.moveaxis(res, 0, 2), np.empty_like(X.data))
     else:
         raise DimensionMismatch(f"unknown deflation scheme {scheme!r}")
     # For a finite factor every scheme's residual is finite and exactly symmetric.

@@ -27,6 +27,15 @@ def sym(A: np.ndarray) -> np.ndarray:
     return (A + np.swapaxes(A, 0, 1)) / 2.0
 
 
+def _sym_into(A: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`sym(A)` written into `out`, which may be A itself, and returned: the
+    same bits without a new array of A's size (when `out` is A, numpy copies
+    the overlapping transpose only while it adds)."""
+    np.add(A, np.swapaxes(A, 0, 1), out=out)
+    out /= 2.0
+    return out
+
+
 def eigen_block(A: np.ndarray, pick) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a symmetric matrix selected by `pick`.
 

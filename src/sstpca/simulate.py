@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ._parallel import _release_free_heap, ordered_map
+from ._parallel import ordered_map
 from .decompose import Factor, FitDiagnostics, FitOptions, fit_single_factor
 from .errors import BudgetExceeded, DimensionMismatch, InvalidParameter, InvalidProbability
 from .linalg import (
@@ -41,18 +41,33 @@ class SpikeTruth:
     snr: float  # d / sqrt(p * log T)
 
 
+# Bytes of off-diagonal normals drawn at once by `goe_noise`: 6 slices at p=1000.
+_GOE_BLOCK_BYTES = 24 * 2**20
+
+
 def goe_noise(p: int, T: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Symmetric Gaussian noise slices, shape (p, p, T).
 
     One draw per unordered off-diagonal pair with variance sigma^2;
-    diagonal entries have variance 2 sigma^2.
+    diagonal entries have variance 2 sigma^2. The pairs are drawn slice by
+    slice in row-major upper-triangle order, a block of whole slices (at most
+    _GOE_BLOCK_BYTES) at a time, then the diagonals as one (T, p) draw: the
+    stream of a single draw of them all, at a peak of the output plus one block.
     """
-    iu = np.triu_indices(p, k=1)
-    out = np.zeros((p, p, T))
-    off = rng.normal(0.0, sigma, size=(T, iu[0].size))
+    n_off = p * (p - 1) // 2
+    out = np.empty((p, p, T))
+    step = max(1, _GOE_BLOCK_BYTES // max(8 * n_off, 1))
+    for t0 in range(0, T, step):
+        t1 = min(t0 + step, T)
+        off = rng.normal(0.0, sigma, size=(t1 - t0, n_off))
+        start = 0
+        for i in range(p - 1):  # row i holds the next p - 1 - i pairs
+            out[i, i + 1:, t0:t1] = off[:, start:start + p - 1 - i].T
+            start += p - 1 - i
+        del off  # before the next draw, so only one block is ever held
+    for i in range(p - 1):  # mirror whole rows: T contiguous values per entry
+        out[i + 1:, i, :] = out[i, i + 1:, :]
     diag = rng.normal(0.0, sigma * np.sqrt(2.0), size=(T, p))
-    out[iu[0], iu[1], :] = off.T
-    out[iu[1], iu[0], :] = off.T
     out[np.arange(p), np.arange(p), :] = diag.T
     return out
 
@@ -267,9 +282,6 @@ def _run_rep(cell: SweepCell, seed_seq, max_iter: int, tol: float,
         raise InvalidParameter(f"unknown init scheme {cell.init!r}")
     opts = FitOptions(rank=cell.r, max_iter=max_iter, tol=tol, init=init)
     factor, diag = fit_single_factor(X, opts)
-    # At p=1000 the fit leaves 20-50 MB of freed eigensolver work arrays in the
-    # heap, which glibc keeps resident behind any small array left above them.
-    _release_free_heap()
     _, armse = procrustes_aligned_rmse(factor.V, truth.V_star)
     errors = (procrustes_aligned_rmse(V, truth.V_star)[1] for V in diag.V_trace)
     armses, u_errs = [], []

@@ -5,6 +5,7 @@ import pytest
 
 from sstpca.decompose import (
     FitOptions,
+    _best_eigen_block,
     fit_single_factor,
     init_u,
     u_update,
@@ -18,6 +19,7 @@ from sstpca.errors import (
     ZeroVector,
 )
 from sstpca.linalg import (
+    eigen_block,
     procrustes_aligned_rmse,
     random_stiefel,
     random_unit,
@@ -111,6 +113,32 @@ class TestVUpdate:
         X = new_from_slices([np.diag([5.0, 3.0, -4.0])])
         V, lam = v_update(X, np.array([1.0]), 2)
         assert sorted(lam) == pytest.approx([3.0, 5.0])
+
+
+class TestBestEigenBlock:
+    @pytest.mark.parametrize("eigen_scaled", [False, True])
+    @pytest.mark.parametrize("p, r", [(5, 1), (5, 3), (40, 1), (40, 3)])
+    def test_bits_of_selection_from_sym(self, p, r, eigen_scaled):
+        # A non-symmetric target: the block is selected from sym(M), and M is consumed.
+        M = np.random.default_rng(p + r).standard_normal((p, p))
+        S = sym(M)
+
+        def top_or_bottom(w):
+            top, bot = np.arange(p - r, p), np.arange(r)
+            return top if w[top].sum() >= -w[bot].sum() else bot
+
+        V_ref, lam_ref = eigen_block(S, top_or_bottom)
+        if eigen_scaled:
+            V_ref = V_ref * np.sqrt(np.abs(lam_ref))[None, :]
+        V, lam = _best_eigen_block(M, r, eigen_scaled)
+        assert V.tobytes() == V_ref.tobytes()
+        assert lam.tobytes() == lam_ref.tobytes()
+        assert M.tobytes() == S.tobytes()
+
+    def test_negative_target_is_not_degenerate(self):
+        V, lam = _best_eigen_block(np.diag([0.0, -1.0]), 1)
+        assert lam.tolist() == [-1.0]
+        assert np.abs(V[:, 0]).tolist() == [0.0, 1.0]
 
 
 class TestUUpdate:

@@ -323,6 +323,35 @@ class TestInPlaceRankOneAdd:
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
+class TestInPlaceResidual:
+    """Projection and Schur deflation work in place on one array; the bytes
+    are those of the expression-per-step form, kept here as the reference."""
+
+    @staticmethod
+    def reference(X, f, scheme):
+        V = f.V
+        slices = np.moveaxis(X.data, 2, 0)
+        XV = slices @ V
+        if scheme == "projection":
+            PXV = XV - V @ (V.T @ XV)
+            slices = slices - V @ np.swapaxes(XV, 1, 2) - PXV @ V.T
+        else:
+            slices = slices - XV @ np.linalg.solve(V.T @ XV, np.swapaxes(XV, 1, 2))
+        slices = slices - f.u[:, None, None] * np.tensordot(f.u, slices, axes=1)
+        return sym(np.ascontiguousarray(np.moveaxis(slices, 0, 2)))
+
+    @pytest.mark.parametrize("scheme", ["projection", "schur"])
+    @pytest.mark.parametrize("p, r", [(5, 1), (40, 3)])
+    def test_bytes_equal_reference(self, scheme, p, r):
+        T = 7
+        X = psd_instance(p + r, p=p, T=T)
+        rng = np.random.default_rng(p + r)
+        f = Factor(u=random_unit(T, rng), V=random_stiefel(p, r, rng), d=1.0)
+        got = deflate(X, f, scheme).data
+        assert got.flags.c_contiguous
+        assert got.tobytes() == self.reference(X, f, scheme).tobytes()
+
+
 class TestNonFiniteFactor:
     """deflate wraps its residual unchecked, so it rejects a non-finite factor up front."""
 

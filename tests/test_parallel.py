@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from sstpca import decompose
+from sstpca import cli, decompose
 from sstpca._parallel import _blas_hold_for, _openblas_controls, ordered_map
 from sstpca.cli import main
 from sstpca.errors import DegenerateIterate
@@ -185,3 +185,44 @@ def test_fits_up_to_p500_give_the_same_bytes_at_any_blas_thread_count(tmp_path):
         "--seed", "7", "--data-out", str(data), "--output", str(tmp_path / "truth.json")])
     assert result.exit_code == 0, result.output
     assert _cli_outputs(tmp_path, data, "2") == _cli_outputs(tmp_path, data, "1")
+
+
+@needs_openblas
+@pytest.mark.parametrize("p, held", [(300, True), (501, False)], ids=["p300", "p501"])
+@pytest.mark.parametrize("preset, name", [("shift", "detection_snr"), ("spike", "spike_model")])
+def test_simulate_instance_runs_under_the_fit_policy(n_libs, monkeypatch, tmp_path,
+                                                     p, held, preset, name):
+    """The instance presets draw under `_blas_hold_for(p)`, so at p <= 500 the
+    first LAPACK call of the process (detection_snr's eigvalsh for the shift
+    preset) runs on one thread."""
+    seen = []
+    real = getattr(cli, name)
+
+    def spy(*args):
+        seen.append(blas_threads())
+        return real(*args)
+
+    monkeypatch.setattr(cli, name, spy)
+    result = CliRunner().invoke(main, ["simulate", "--preset", preset, "--p", str(p), "--t", "4",
+                                       "--output", str(tmp_path / "out.json")])
+    assert result.exit_code == 0, result.output
+    assert seen == [[1 if held else 2] * n_libs]
+    assert blas_threads() == [2] * n_libs
+
+
+def _simulate_outputs(tmp_path, blas_threads_env: str) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": blas_threads_env}
+    outputs = {}
+    for preset in ("shift", "spike"):
+        out, data = tmp_path / f"{preset}.json", tmp_path / f"{preset}.csv"  # echoed in the JSON
+        subprocess.run([sys.executable, "-m", "sstpca.cli", "simulate", "--preset", preset,
+                        "--p", "150", "--t", "20", "--r", "2", "--d", "40", "--seed", "7",
+                        "--data-out", str(data), "--output", str(out)],
+                       env=env, check=True, timeout=300)
+        outputs[preset] = (out.read_bytes(), data.read_bytes())
+    return outputs
+
+
+@needs_openblas
+def test_simulate_instances_give_the_same_bytes_at_any_blas_thread_count(tmp_path):
+    assert _simulate_outputs(tmp_path, "2") == _simulate_outputs(tmp_path, "1")

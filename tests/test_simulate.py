@@ -1,8 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from sstpca import simulate
 from sstpca.decompose import Factor, FitOptions, fit_single_factor
 from sstpca.errors import (
     BudgetExceeded,
@@ -130,6 +132,54 @@ class TestGoeNoise:
         mean = E.mean(axis=2)
         se = E.std(axis=2, ddof=1) / np.sqrt(E.shape[2])
         assert np.all(np.abs(mean) <= 5 * se)
+
+
+def _one_shot_goe(p, T, sigma, rng):
+    """The draw `goe_noise` replaced: all off-diagonal pairs in one (T, n) array."""
+    iu = np.triu_indices(p, k=1)
+    out = np.zeros((p, p, T))
+    off = rng.normal(0.0, sigma, size=(T, iu[0].size))
+    diag = rng.normal(0.0, sigma * np.sqrt(2.0), size=(T, p))
+    out[iu[0], iu[1], :] = off.T
+    out[iu[1], iu[0], :] = off.T
+    out[np.arange(p), np.arange(p), :] = diag.T
+    return out
+
+
+class TestGoeNoiseBlocks:
+    """The block draw gives the bytes of the one-shot draw and leaves the
+    generator where the one-shot draw left it."""
+
+    @staticmethod
+    def assert_same_as_one_shot(p, T, sigma, seed=11):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert goe_noise(p, T, sigma, rng).tobytes() == _one_shot_goe(p, T, sigma, ref_rng).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])  # 0 gives signed zeros
+    @pytest.mark.parametrize("T", [1, 3, 20])
+    @pytest.mark.parametrize("p", [1, 2, 7, 60])
+    def test_equals_one_shot_draw(self, p, T, sigma):
+        self.assert_same_as_one_shot(p, T, sigma)
+
+    # p=60 has 1770 pairs, 14160 bytes a slice: blocks of 1 and of 3 slices (last one 2).
+    @pytest.mark.parametrize("budget", [1, 3 * 14160 + 5], ids=["1-slice", "3-slices"])
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    def test_small_blocks_equal_one_shot_draw(self, monkeypatch, budget, sigma):
+        monkeypatch.setattr(simulate, "_GOE_BLOCK_BYTES", budget)
+        self.assert_same_as_one_shot(60, 20, sigma)
+
+    @pytest.mark.parametrize("budget", [None, 2 * 2**20], ids=["default", "2MB"])
+    def test_peak_memory_is_output_plus_one_block(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(simulate, "_GOE_BLOCK_BYTES", budget)
+        tracemalloc.start()
+        try:
+            out = goe_noise(400, 20, 1.0, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + simulate._GOE_BLOCK_BYTES + 2**20
 
 
 class TestSbm:
