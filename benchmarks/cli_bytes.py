@@ -71,6 +71,8 @@ MATRIX = [
                            "--scheme", "schur"], []),
     ("rank-select-max-iter-1", ["rank-select", "--input", "{dir}/spike.csv", "--r-max", "3",
                                 "--max-iter", "1"], []),
+    ("rank-select-threads-2", ["rank-select", "--input", "{dir}/spike.csv", "--r-max", "3",
+                               "--k-max", "3"], []),
     ("benchmark-threads-2", ["benchmark", *SWEEP, "--threads", "2",
                              "--csv", "{dir}/sweep.csv"], ["sweep.csv"]),
     ("benchmark-oracle", ["benchmark", *SWEEP, "--init", "oracle", "--u-mode", "positive"], []),
@@ -84,7 +86,8 @@ MATRIX = [
 ]
 
 # Environment variables a matrix job sets on both trees, by job name.
-MATRIX_ENV = {"fig3-threads-2": {"SSTPCA_THREADS": "2"}}
+MATRIX_ENV = {"fig3-threads-2": {"SSTPCA_THREADS": "2"},
+              "rank-select-threads-2": {"SSTPCA_THREADS": "2"}}
 
 
 def env_for(src: Path, extra: "dict | None" = None) -> dict:

@@ -20,6 +20,12 @@ pool and BLAS left alone. Each case reports min and median over its rounds.
   T=20, the first 4 seeds of each rank 1 and 5, ``max_iter=1000``), on 1 and
   on 2 workers. Run this one at OPENBLAS_NUM_THREADS=1: it measures what the
   pool gains on one-thread fits, as criterion 4 runs them.
+- ``test_rank_select_p300[serial]`` and ``[pool]``: one ``rank_select_bic``
+  call (r_max 4, K_max 3) on a p=300, T=20 shift instance like the
+  files-p300 workload's (d=60, rank 3, the mean shifts after slice 12,
+  sigma 1), with SSTPCA_THREADS at 1 and at 2, so each step's four candidate
+  fits run one at a time or two at a time. Run it at OPENBLAS_NUM_THREADS=1
+  too; at p=300 the fits hold BLAS at one thread anyway.
 """
 
 import warnings
@@ -28,7 +34,10 @@ import numpy as np
 import pytest
 
 from sstpca._parallel import ordered_map
-from sstpca.simulate import SweepCell, _run_reps, rate_sweep
+from sstpca.linalg import random_stiefel
+from sstpca.ranksel import rank_select_bic
+from sstpca.simulate import SweepCell, _run_reps, goe_noise, rate_sweep
+from sstpca.tensor import SemiSymTensor
 
 SEED = 20220209
 CALLS = 32
@@ -64,3 +73,20 @@ def test_engine_criterion_4_reps(benchmark, n_threads):
     fits = benchmark.pedantic(_run_reps, args=(reps, 1000), kwargs={"n_threads": n_threads},
                               rounds=3)
     assert len(fits) == 8
+
+
+@pytest.fixture(scope="module")
+def shift300():
+    rng = np.random.default_rng(SEED)
+    means = [60.0 * V @ V.T for V in (random_stiefel(300, 3, rng), random_stiefel(300, 3, rng))]
+    data = goe_noise(300, 20, 1.0, rng)
+    data[:, :, :12] += means[0][:, :, None]
+    data[:, :, 12:] += means[1][:, :, None]
+    return SemiSymTensor(data)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"], ids=["serial", "pool"])
+def test_rank_select_p300(benchmark, monkeypatch, shift300, workers):
+    monkeypatch.setenv("SSTPCA_THREADS", workers)
+    ranks, _ = benchmark.pedantic(rank_select_bic, args=(shift300, 4, 3), rounds=5)
+    assert ranks == [3, 3]

@@ -1,7 +1,8 @@
 """Deterministic work pool and the BLAS thread policy of a fit.
 
 `ordered_map` is the one worker pool: `simulate._run_reps` sends all reps
-of a sweep or of fig3 through one call, and results keep submission order.
+of a sweep or of fig3 through one call, `ranksel.rank_select_bic` one call
+per step for its candidate ranks, and results keep submission order.
 While it runs on two or more workers, every loaded OpenBLAS is held at one
 thread, so each worker runs its LAPACK calls on its own core instead of
 competing with BLAS helper threads, and the results equal those of a serial
@@ -32,13 +33,14 @@ THREADS_ENV_VAR = "SSTPCA_THREADS"
 
 
 def resolve_threads(explicit: "int | None" = None) -> int:
-    """Worker count from ``explicit``, else SSTPCA_THREADS, else 1."""
+    """Worker count from ``explicit``, else SSTPCA_THREADS, else the number of
+    cores this process may run on."""
     if explicit is not None:
         value, source = explicit, "--threads"
     else:
         value, source = os.environ.get(THREADS_ENV_VAR), THREADS_ENV_VAR
         if not value:
-            return 1
+            return len(os.sched_getaffinity(0))
     try:
         n = int(value)
     except ValueError:

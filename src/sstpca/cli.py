@@ -6,7 +6,8 @@ JSON artifact (sorted keys, no timestamps); tabular side products go to
 CSV. For a fixed seed and a fixed BLAS thread count (OPENBLAS_NUM_THREADS
 and the like) the bytes are identical across runs; `_parallel` says when
 they are the same at every BLAS thread count. ``benchmark`` and
-``simulate --preset fig3`` run all their reps on one worker pool.
+``simulate --preset fig3`` run all their reps on one worker pool, and
+``rank-select`` runs each step's candidate ranks on it.
 
 All five commands run through one runner, `_command`, which owns the exit
 codes: 0 success, 2 input error, 1 flagged non-convergence. Only
@@ -16,8 +17,9 @@ commands exit 0 even when a fit inside them hits the iteration cap.
 The ``config`` block of each artifact echoes exactly the options of the
 command that ran, plus ``command``. The worker count comes from
 ``benchmark --threads``, else the SSTPCA_THREADS environment variable (a
-value that is not a positive integer is an input error), and is not
-echoed: with a fixed BLAS thread count of 1 it never affects results.
+value that is not a positive integer is an input error), else the number
+of usable cores, and is not echoed: with a fixed BLAS thread count of 1
+it never affects results.
 """
 
 from __future__ import annotations

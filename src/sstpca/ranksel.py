@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import _blas_hold_for
+from ._parallel import _blas_hold_for, ordered_map, resolve_threads
 from .decompose import Factor, FitOptions, fit_single_factor
 from .deflate import SCHEMES, deflate
 from .errors import DimensionMismatch, SSTPCAError
@@ -74,8 +74,11 @@ def rank_select_bic(
     `ranks` may be empty. A candidate rank whose fit raises an SSTPCAError is
     left out of the step's ``candidates`` and listed in its ``failed``; one
     whose fit hit ``opts.max_iter`` stays a candidate and is listed in ``capped``.
-    At p <= 500 the whole selection runs with OpenBLAS held at one thread (see
-    `_parallel`), so it does not depend on OPENBLAS_NUM_THREADS.
+    Each step fits its candidate ranks 1..r_max on `ordered_map`'s pool of
+    `resolve_threads()` workers, then walks them in rank order, so the result
+    does not depend on the worker count. At p <= 500 the whole selection runs
+    with OpenBLAS held at one thread (see `_parallel`), so it does not depend
+    on OPENBLAS_NUM_THREADS either.
     """
     if r_max < 1 or r_max > X.p:
         raise DimensionMismatch(f"r_max={r_max} must lie in [1, {X.p}]")
@@ -83,6 +86,7 @@ def rank_select_bic(
         raise DimensionMismatch("K_max must be at least 1")
     if scheme not in SCHEMES:
         raise DimensionMismatch(f"unknown deflation scheme {scheme!r}")
+    n_threads = resolve_threads()
 
     n_obs = X.T * X.p * (X.p + 1) // 2
     ranks: list[int] = []
@@ -92,18 +96,27 @@ def rank_select_bic(
         for _ in range(K_max):
             rss_residual = distinct_rss(residual)
             step = RankSelectionStep(null_bic=bic_value(rss_residual, n_obs, 0))
-            best = None  # (bic, r, factor)
-            for r in range(1, r_max + 1):
+
+            def fit_candidate(r):
+                """(factor, diagnostics, rss) of rank r, or the SSTPCAError its fit raised."""
                 try:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")
-                        factor, diag = fit_single_factor(residual, opts.with_rank(r))
+                    factor, diag = fit_single_factor(residual, opts.with_rank(r))
                 except SSTPCAError as e:
-                    step.failed.append((r, type(e).__name__))
+                    return e
+                return factor, diag, candidate_rss(residual, rss_residual, factor)
+
+            # Warning filters are process-wide, so they are set here, not in the workers.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                fits = ordered_map(fit_candidate, range(1, r_max + 1), n_threads)
+            best = None  # (bic, r, factor)
+            for r, fit in enumerate(fits, start=1):
+                if isinstance(fit, SSTPCAError):
+                    step.failed.append((r, type(fit).__name__))
                     continue
+                factor, diag, rss = fit
                 if not diag.converged:
                     step.capped.append(r)
-                rss = candidate_rss(residual, rss_residual, factor)
                 bic = bic_value(rss, n_obs, n_free_params(X.p, X.T, r))
                 step.candidates.append((r, bic))
                 if best is None or bic < best[0]:

@@ -41,8 +41,32 @@ class SpikeTruth:
     snr: float  # d / sqrt(p * log T)
 
 
-# Bytes of off-diagonal normals drawn at once by `goe_noise`: 6 slices at p=1000.
+# Bytes of off-diagonal draws taken at once by `goe_noise` and
+# `_bernoulli_slices`: 6 slices at p=1000.
 _GOE_BLOCK_BYTES = 24 * 2**20
+
+
+def _draw_off_diagonal(out: np.ndarray, draw) -> None:
+    """Fill the off-diagonal entries of out, shape (p, p, T), from draw.
+
+    ``draw(n, n_off)`` returns n slices' pairs as an (n, n_off) float array,
+    each row in row-major upper-triangle order. It is called on a block of
+    whole slices (at most _GOE_BLOCK_BYTES) at a time, so out holds the
+    stream of one draw of all T slices, at a peak of out plus one block.
+    """
+    p, _, T = out.shape
+    n_off = p * (p - 1) // 2
+    step = max(1, _GOE_BLOCK_BYTES // max(8 * n_off, 1))
+    for t0 in range(0, T, step):
+        t1 = min(t0 + step, T)
+        block = draw(t1 - t0, n_off)
+        start = 0
+        for i in range(p - 1):  # row i holds the next p - 1 - i pairs
+            out[i, i + 1:, t0:t1] = block[:, start:start + p - 1 - i].T
+            start += p - 1 - i
+        del block  # before the next draw, so only one block is ever held
+    for i in range(p - 1):  # mirror whole rows: T contiguous values per entry
+        out[i + 1:, i, :] = out[i, i + 1:, :]
 
 
 def goe_noise(p: int, T: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -50,23 +74,12 @@ def goe_noise(p: int, T: int, sigma: float, rng: np.random.Generator) -> np.ndar
 
     One draw per unordered off-diagonal pair with variance sigma^2;
     diagonal entries have variance 2 sigma^2. The pairs are drawn slice by
-    slice in row-major upper-triangle order, a block of whole slices (at most
-    _GOE_BLOCK_BYTES) at a time, then the diagonals as one (T, p) draw: the
-    stream of a single draw of them all, at a peak of the output plus one block.
+    slice in row-major upper-triangle order, in blocks (`_draw_off_diagonal`),
+    then the diagonals as one (T, p) draw: the stream of a single draw of
+    them all, at a peak of the output plus one block.
     """
-    n_off = p * (p - 1) // 2
     out = np.empty((p, p, T))
-    step = max(1, _GOE_BLOCK_BYTES // max(8 * n_off, 1))
-    for t0 in range(0, T, step):
-        t1 = min(t0 + step, T)
-        off = rng.normal(0.0, sigma, size=(t1 - t0, n_off))
-        start = 0
-        for i in range(p - 1):  # row i holds the next p - 1 - i pairs
-            out[i, i + 1:, t0:t1] = off[:, start:start + p - 1 - i].T
-            start += p - 1 - i
-        del off  # before the next draw, so only one block is ever held
-    for i in range(p - 1):  # mirror whole rows: T contiguous values per entry
-        out[i + 1:, i, :] = out[i, i + 1:, :]
+    _draw_off_diagonal(out, lambda n, n_off: rng.normal(0.0, sigma, size=(n, n_off)))
     diag = rng.normal(0.0, sigma * np.sqrt(2.0), size=(T, p))
     out[np.arange(p), np.arange(p), :] = diag.T
     return out
@@ -121,14 +134,21 @@ def sbm_expected_adjacency(p: int, n_blocks: int, p_in: float, q_out: float) -> 
 
 
 def _bernoulli_slices(probs: np.ndarray, T: int, rng: np.random.Generator) -> SemiSymTensor:
-    """T independent undirected graphs; edge (i, j) appears with probs[i, j] clipped to [0, 1]."""
+    """T independent undirected graphs; edge (i, j) appears with probs[i, j] clipped to [0, 1].
+
+    Slice by slice, one uniform per pair in row-major upper-triangle order,
+    drawn in blocks (`_draw_off_diagonal`); each block is compared with the
+    edge probabilities in place, so the peak is the output plus one block.
+    """
     p = probs.shape[0]
-    iu = np.triu_indices(p, k=1)
-    edge_probs = np.clip(probs[iu], 0.0, 1.0)
+    edge_probs = np.clip(probs[np.triu_indices(p, k=1)], 0.0, 1.0)
+
+    def draw(n, n_off):
+        u = rng.random(size=(n, n_off))
+        return np.less(u, edge_probs, out=u)  # 1.0 where the edge appears, else 0.0
+
     out = np.zeros((p, p, T))
-    draws = (rng.random(size=(T, iu[0].size)) < edge_probs[None, :]).astype(np.float64)
-    out[iu[0], iu[1], :] = draws.T
-    out[iu[1], iu[0], :] = draws.T
+    _draw_off_diagonal(out, draw)
     return SemiSymTensor._trusted(out)
 
 

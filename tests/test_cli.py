@@ -109,6 +109,18 @@ def test_bad_thread_count_is_input_error(tmp_path, runner, flag, env):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("env", ["abc", "0"])
+def test_rank_select_bad_thread_count_is_input_error(tmp_path, runner, spike_csv, env):
+    """rank-select takes its worker count from SSTPCA_THREADS too."""
+    out = tmp_path / "out.json"
+    result = runner.invoke(main, ["rank-select", "--input", str(spike_csv[0]), "--r-max", "2",
+                                  "--output", str(out)],
+                           env={"SSTPCA_THREADS": env}, catch_exceptions=False)
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: ") and "SSTPCA_THREADS" in result.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "args",
     [

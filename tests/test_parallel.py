@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from sstpca import cli, decompose
-from sstpca._parallel import _blas_hold_for, _openblas_controls, ordered_map
+from sstpca._parallel import _blas_hold_for, _openblas_controls, ordered_map, resolve_threads
 from sstpca.cli import main
 from sstpca.errors import DegenerateIterate
 from sstpca.tensor import SemiSymTensor, ttv3
@@ -226,3 +226,36 @@ def _simulate_outputs(tmp_path, blas_threads_env: str) -> dict:
 @needs_openblas
 def test_simulate_instances_give_the_same_bytes_at_any_blas_thread_count(tmp_path):
     assert _simulate_outputs(tmp_path, "2") == _simulate_outputs(tmp_path, "1")
+
+
+def test_worker_count_defaults_to_usable_cores(monkeypatch):
+    monkeypatch.delenv("SSTPCA_THREADS", raising=False)
+    assert resolve_threads() == len(os.sched_getaffinity(0))
+
+
+def _rank_select_output(tmp_path, data, blas_threads_env: str, workers: "str | None") -> bytes:
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": blas_threads_env}
+    env.pop("SSTPCA_THREADS", None)
+    if workers is not None:
+        env["SSTPCA_THREADS"] = workers
+    out = tmp_path / "rank-select.json"  # one path for every run: the JSON echoes it
+    subprocess.run([sys.executable, "-m", "sstpca.cli", "rank-select", "--input", str(data),
+                    "--r-max", "3", "--k-max", "2", "--output", str(out)],
+                   env=env, check=True, timeout=300)
+    return out.read_bytes()
+
+
+@needs_openblas
+def test_rank_select_gives_the_same_bytes_at_any_worker_and_blas_thread_count(tmp_path):
+    """rank-select fits each step's candidate ranks on SSTPCA_THREADS workers
+    (default: the usable cores); at p=150 every pairing of workers and
+    OpenBLAS threads writes the same JSON."""
+    data = tmp_path / "shift.csv"
+    result = CliRunner().invoke(main, [
+        "simulate", "--preset", "shift", "--p", "150", "--t", "20", "--r", "2", "--d", "40",
+        "--seed", "7", "--data-out", str(data), "--output", str(tmp_path / "truth.json")])
+    assert result.exit_code == 0, result.output
+    outputs = {(blas, workers): _rank_select_output(tmp_path, data, blas, workers)
+               for blas in ("1", "2") for workers in (None, "1", "2")}
+    reference = outputs["1", "1"]
+    assert [key for key, out in outputs.items() if out != reference] == []

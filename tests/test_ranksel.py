@@ -1,9 +1,12 @@
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from sstpca import ranksel
 from sstpca.decompose import FitOptions, fit_single_factor
+from sstpca.errors import DegenerateIterate
 from sstpca.linalg import random_stiefel, random_unit, sym
 from sstpca.ranksel import (
     bic_value,
@@ -119,3 +122,49 @@ class TestSelection:
         assert step.failed == [(1, "DegenerateIterate"), (2, "DegenerateIterate"),
                                (3, "DegenerateIterate")]
         assert step.candidates == []
+
+
+class TestPooledCandidates:
+    """Each step's candidate ranks run on the worker pool; the result is
+    walked in rank order on the calling thread."""
+
+    @staticmethod
+    def select(monkeypatch, workers):
+        """rank_select_bic on `workers` SSTPCA_THREADS workers, with the rank-2
+        candidate failing and every candidate capped at two iterations.
+        Returns the result and the names of the threads that ran each fit."""
+        monkeypatch.setenv("SSTPCA_THREADS", workers)
+        threads = []
+
+        def fit(X, opts):
+            threads.append(threading.current_thread().name)
+            if opts.rank == 2:
+                raise DegenerateIterate("rank-2 candidate made to fail")
+            return fit_single_factor(X, opts)
+
+        monkeypatch.setattr(ranksel, "fit_single_factor", fit)
+        rng = np.random.default_rng(31)
+        data = rank1_outer(30.0, random_stiefel(14, 3, rng), random_unit(9, rng, True)).data
+        X = SemiSymTensor(sym(data + goe_noise(14, 9, 0.5, rng)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            filters = list(warnings.filters)
+            ranks, steps = rank_select_bic(X, r_max=4, K_max=2, opts=FitOptions(max_iter=2))
+            assert warnings.filters == filters
+        assert caught == []  # the capped fits' warnings stay inside the selection
+        rows = [(s.null_bic.hex(), [(r, bic.hex()) for r, bic in s.candidates], s.chosen_r,
+                 s.failed, s.capped) for s in steps]
+        return (ranks, rows), threads
+
+    def test_same_result_on_one_and_two_workers(self, monkeypatch):
+        serial, serial_threads = self.select(monkeypatch, "1")
+        pooled, pooled_threads = self.select(monkeypatch, "2")
+        assert pooled == serial
+        ranks, rows = serial
+        assert ranks == [3] and [row[2] for row in rows] == [3, None]  # two pooled steps
+        for _, candidates, _, failed, capped in rows:
+            assert [r for r, _ in candidates] == [1, 3, 4]
+            assert failed == [(2, "DegenerateIterate")]
+            assert capped == [1, 3, 4]
+        assert set(serial_threads) == {"MainThread"}
+        assert "MainThread" not in pooled_threads

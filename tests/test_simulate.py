@@ -182,6 +182,73 @@ class TestGoeNoiseBlocks:
         assert peak <= out.nbytes + simulate._GOE_BLOCK_BYTES + 2**20
 
 
+def _one_shot_bernoulli(probs, T, rng):
+    """The draw `_bernoulli_slices` replaced: all T x n uniforms in one array,
+    compared into a second float array and scattered by fancy indexing."""
+    p = probs.shape[0]
+    iu = np.triu_indices(p, k=1)
+    edge_probs = np.clip(probs[iu], 0.0, 1.0)
+    out = np.zeros((p, p, T))
+    draws = (rng.random(size=(T, iu[0].size)) < edge_probs[None, :]).astype(np.float64)
+    out[iu[0], iu[1], :] = draws.T
+    out[iu[1], iu[0], :] = draws.T
+    return out
+
+
+class TestBernoulliBlocks:
+    """The block draw gives the bytes of the one-shot draw and leaves the
+    generator where the one-shot draw left it."""
+
+    @staticmethod
+    def assert_same_as_one_shot(p, T, seed=21):
+        # Probabilities outside [0, 1] check the clipping; 0 and 1 the edges of `<`.
+        probs = np.random.default_rng(p).uniform(-0.2, 1.2, size=(p, p))
+        probs[0, -1] = 0.0
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = simulate._bernoulli_slices(probs, T, rng).data
+        assert got.tobytes() == _one_shot_bernoulli(probs, T, ref_rng).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("T", [1, 3, 20])
+    @pytest.mark.parametrize("p", [1, 2, 7, 60])
+    def test_equals_one_shot_draw(self, p, T):
+        self.assert_same_as_one_shot(p, T)
+
+    # p=60 has 1770 pairs, 14160 bytes a slice: blocks of 1 and of 3 slices (last one 2).
+    @pytest.mark.parametrize("budget", [1, 3 * 14160 + 5], ids=["1-slice", "3-slices"])
+    def test_small_blocks_equal_one_shot_draw(self, monkeypatch, budget):
+        monkeypatch.setattr(simulate, "_GOE_BLOCK_BYTES", budget)
+        self.assert_same_as_one_shot(60, 20)
+
+    def test_series_equal_one_shot_draw(self):
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        got = sbm_series(30, 5, 3, 0.6, 0.1, rng).data
+        ref = _one_shot_bernoulli(sbm_expected_adjacency(30, 3, 0.6, 0.1), 5, ref_rng)
+        assert got.tobytes() == ref.tobytes()
+        lat = dirichlet_latents(30, 3, 0.5, np.random.default_rng(5))
+        got = rdpg_series_from_latents(lat, 5, rng).data
+        assert got.tobytes() == _one_shot_bernoulli(lat @ lat.T, 5, ref_rng).tobytes()
+
+    @pytest.mark.parametrize("budget", [None, 2 * 2**20], ids=["default", "2MB"])
+    def test_peak_memory_is_output_plus_one_block(self, monkeypatch, budget):
+        """Besides the output and one block, the draw holds only the clipped
+        edge probabilities (8 bytes a pair). The one-shot draw needs the output
+        plus two (T, n) float arrays: 41.9 MB against the 2 MB case's bound of
+        29.4 MB. At the default budget one block holds all 20 slices."""
+        if budget is not None:
+            monkeypatch.setattr(simulate, "_GOE_BLOCK_BYTES", budget)
+        p, T = 400, 20
+        probs = sbm_expected_adjacency(p, 4, 0.3, 0.05)
+        tracemalloc.start()
+        try:
+            out = simulate._bernoulli_slices(probs, T, np.random.default_rng(0)).data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        edge_bytes = 8 * p * (p - 1) // 2
+        assert peak <= out.nbytes + simulate._GOE_BLOCK_BYTES + edge_bytes + 2**20
+
+
 class TestSbm:
     def test_probability_validation(self):
         rng = np.random.default_rng(7)
