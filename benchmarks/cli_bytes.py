@@ -59,6 +59,8 @@ MATRIX = [
         "--edge-threshold", "0.05", "--trace-csv", f"{{dir}}/trace-{scheme}.csv"],
        [f"trace-{scheme}.csv"])
       for scheme in ("hotelling", "projection", "schur")],
+    ("decompose-eigen-scaled", ["decompose", "--input", "{dir}/spike.csv", "--ranks", "2,1",
+                                "--eigen-scaled"], []),
     ("decompose-random", ["decompose", "--input", "{dir}/spike.csv", "--ranks", "2",
                           "--init", "random", "--seed", "7"], []),
     ("decompose-capped", ["decompose", "--input", "{dir}/spike.csv", "--ranks", "2,2",

@@ -2,11 +2,14 @@
 
 `ordered_map` is the one worker pool: `simulate._run_reps` sends all reps
 of a sweep or of fig3 through one call, `ranksel.rank_select_bic` one call
-per step for its candidate ranks, and results keep submission order.
-While it runs on two or more workers, every loaded OpenBLAS is held at one
-thread, so each worker runs its LAPACK calls on its own core instead of
-competing with BLAS helper threads, and the results equal those of a serial
-run with one BLAS thread, bit for bit, for any worker count.
+per step for its candidate ranks. It owns the rules of pooled fits, so its
+callers repeat none: results keep submission order; library warnings are
+ignored on the calling thread, serial or pooled, because warning filters are
+process-wide and workers must not touch them; and while it runs on two or
+more workers, every loaded OpenBLAS is held at one thread, so each worker
+runs its LAPACK calls on its own core instead of competing with BLAS helper
+threads, and the results equal those of a serial run with one BLAS thread,
+bit for bit, for any worker count.
 
 Outside a pool, `_blas_hold_for(p)` sets the thread policy of a fit on a
 p-node network: at p <= ONE_BLAS_THREAD_MAX_P (500) the fit runs under the
@@ -25,6 +28,7 @@ import contextlib
 import ctypes
 import os
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 from .errors import InvalidParameter
@@ -138,14 +142,17 @@ def _blas_hold_for(p: int):
 
 
 def ordered_map(fn, items, n_threads: int = 1) -> list:
-    """``[fn(it) for it in items]``, on ``n_threads`` workers when n_threads > 1.
+    """``[fn(it) for it in items]``, on ``n_threads`` workers when n_threads > 1,
+    with warnings ignored (see the module docstring).
 
-    The pool runs with BLAS held at one thread (see the module docstring);
-    the hold is taken before the executor starts and released after it has
-    joined, so no BLAS call is in flight while the count changes.
+    The filters are set first, then the BLAS hold is taken and the executor
+    started; all are released only after the pool has joined, so no BLAS call
+    is in flight while the count changes and no worker warns unfiltered.
     """
     items = list(items)
-    if n_threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with _single_threaded_blas, ThreadPoolExecutor(max_workers=n_threads) as pool:
-        return list(pool.map(fn, items))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if n_threads <= 1 or len(items) <= 1:
+            return [fn(it) for it in items]
+        with _single_threaded_blas, ThreadPoolExecutor(max_workers=n_threads) as pool:
+            return list(pool.map(fn, items))

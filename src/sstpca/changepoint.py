@@ -7,7 +7,7 @@ loading vector whose largest-magnitude entry marks the shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,7 +55,7 @@ def detect_changepoint(
     C = cusum_tensor(X)
     if frob_norm(C) < 1e-12 * frob_norm(X):
         raise DegenerateSeries("cumulative-sum tensor is numerically zero")
-    factor, diag = fit_single_factor(C, opts.with_rank(r))
+    factor, diag = fit_single_factor(C, replace(opts, rank=r))
     scores = np.abs(factor.u)
     tau_hat = int(np.argmax(scores)) + 1  # argmax takes the earliest tie
     return ChangepointResult(

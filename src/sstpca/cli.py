@@ -190,7 +190,7 @@ def decompose(cfg: SimpleNamespace):
         "p": X.p,
         "T": X.T,
         "scheme": cfg.scheme,
-        "factors": [factor_to_dict(f, X.T) for f in dec.factors],
+        "factors": [factor_to_dict(f) for f in dec.factors],
         "diagnostics": [_diag_dict(d) for d in dec.diagnostics],
         "residual_norms": dec.residual_norms,
         "cpve": dec.cpve,
@@ -230,7 +230,7 @@ def changepoint(cfg: SimpleNamespace):
         "tau_hat": res.tau_hat,
         "score": res.score,
         "u_hat": res.u_hat,
-        "factor": factor_to_dict(res.factor, X.T - 1),
+        "factor": factor_to_dict(res.factor),
         "diagnostics": _diag_dict(res.diagnostics),
     }
     if cfg.edge_threshold is not None:

@@ -10,7 +10,7 @@ the objective <X, V o V o u> never decreases across iterations.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import (
     SingularSmoother,
     ZeroVector,
 )
-from .linalg import _sym_into, eigen_block, normalize, sin_theta_frob
+from .linalg import eigen_block, normalize, sin_theta_frob, sym
 from .tensor import SemiSymTensor, frob_norm, rank1_outer, trace_product, ttv3
 
 DEGENERATE_OPNORM_TOL = 1e-14
@@ -77,9 +77,6 @@ class FitOptions:
             if np.linalg.eigvalsh(S).min() < 1.0 - 1e-8:
                 raise DimensionMismatch("smoother must satisfy S >= I")
 
-    def with_rank(self, r: int) -> "FitOptions":
-        return replace(self, rank=r)
-
 
 @dataclass
 class FitDiagnostics:
@@ -127,7 +124,7 @@ def _best_eigen_block(
     so the only p x p array held next to the eigensolver is M itself.
     Callers pass a fresh array.
     """
-    M = _sym_into(M, M)
+    M = sym(M, out=M)
     if max(M.max(), -M.min()) < DEGENERATE_OPNORM_TOL:
         raise DegenerateIterate("weighted slice sum is numerically zero")
 

@@ -15,15 +15,15 @@ guarantee only while every residual slice stays positive semi-definite.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._parallel import _blas_hold_for
 from .decompose import Factor, FitOptions, fit_single_factor
 from .errors import DimensionMismatch, NonFiniteEntry, SingularSchurBlock, SSTPCAError
-from .linalg import _sym_into
-from .tensor import SemiSymTensor, _add_rank1, frob_norm, ttm, ttv3
+from .linalg import sym
+from .tensor import SemiSymTensor, _add_rank1, frob_norm, trace_product, ttm, ttv3
 from .tensor import new_from_slices  # noqa: F401  (perfbench times deflate.new_from_slices)
 
 SCHEMES = ("hotelling", "projection", "schur")
@@ -110,7 +110,7 @@ def deflate(X: SemiSymTensor, f: Factor, scheme: str) -> SemiSymTensor:
         res -= f.u[:, None, None] * np.tensordot(f.u, res, axes=1)
         # Symmetrize into C order: einsum sums in memory order, so a (T, p, p)-major
         # residual would change later fits in the last bits.
-        out = _sym_into(np.moveaxis(res, 0, 2), np.empty_like(X.data))
+        out = sym(np.moveaxis(res, 0, 2), out=np.empty_like(X.data))
     else:
         raise DimensionMismatch(f"unknown deflation scheme {scheme!r}")
     # For a finite factor every scheme's residual is finite and exactly symmetric.
@@ -120,8 +120,7 @@ def deflate(X: SemiSymTensor, f: Factor, scheme: str) -> SemiSymTensor:
 def orthogonality_report(X_next: SemiSymTensor, f: Factor) -> OrthogonalityReport:
     """Measure how much of a removed factor survives in the residual."""
     _check_factor_dims(X_next, f)
-    recon_dir = f.V @ f.V.T
-    two_way = abs(float(np.einsum("ijt,ij,t->", X_next.data, recon_dir, f.u)))
+    two_way = abs(float(trace_product(X_next, f.V) @ f.u))
     u_one_way = float(np.linalg.norm(ttv3(X_next, f.u)))
     v1 = float(np.linalg.norm(ttm(X_next, f.V, 1)))
     v2 = float(np.linalg.norm(ttm(X_next, f.V, 2)))
@@ -143,7 +142,7 @@ def fit_multi(
     """
     if scheme not in SCHEMES:
         raise DimensionMismatch(f"unknown deflation scheme {scheme!r}")
-    per_factor = [opts.with_rank(int(r)) for r in ranks]
+    per_factor = [replace(opts, rank=int(r)) for r in ranks]
     if not per_factor:
         raise DimensionMismatch("need at least one rank")
 

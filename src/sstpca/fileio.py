@@ -220,12 +220,12 @@ def write_json(path, payload) -> None:
     Path(path).write_text(canonical_json(payload))
 
 
-def factor_to_dict(f: Factor, T: int) -> dict:
+def factor_to_dict(f: Factor) -> dict:
     return {
         "d": f.d,
         "p": f.V.shape[0],
         "r": f.V.shape[1],
-        "T": T,
+        "T": len(f.u),
         "u": f.u,
         "V": f.V.ravel(order="C"),  # row-major
     }

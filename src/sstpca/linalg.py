@@ -22,16 +22,11 @@ def is_orthonormal(V: np.ndarray, tol: float = STIEFEL_TOL) -> bool:
     return bool(np.abs(gram - np.eye(V.shape[1])).max() <= tol)
 
 
-def sym(A: np.ndarray) -> np.ndarray:
-    """Symmetric part (A + A') / 2; of every slice for a (p, p, T) stack."""
-    return (A + np.swapaxes(A, 0, 1)) / 2.0
-
-
-def _sym_into(A: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """`sym(A)` written into `out`, which may be A itself, and returned: the
-    same bits without a new array of A's size (when `out` is A, numpy copies
-    the overlapping transpose only while it adds)."""
-    np.add(A, np.swapaxes(A, 0, 1), out=out)
+def sym(A: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
+    """Symmetric part (A + A') / 2 of a float array; of every slice for a (p, p, T)
+    stack. Written into `out` when given, which may be A itself: the same bits
+    without a new array of A's size."""
+    out = np.add(A, np.swapaxes(A, 0, 1), out=out)
     out /= 2.0
     return out
 

@@ -9,8 +9,7 @@ stops once no candidate beats the no-factor BIC of that residual.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,12 +17,12 @@ from ._parallel import _blas_hold_for, ordered_map, resolve_threads
 from .decompose import Factor, FitOptions, fit_single_factor
 from .deflate import SCHEMES, deflate
 from .errors import DimensionMismatch, SSTPCAError
-from .tensor import SemiSymTensor, factor_inner, trace_product
+from .tensor import SemiSymTensor, _as_data, factor_inner, trace_product
 
 
 def distinct_rss(X) -> float:
     """Sum of squares over the T * p(p+1)/2 distinct entries."""
-    data = X.data if isinstance(X, SemiSymTensor) else np.asarray(X)
+    data = _as_data(X)
     total = float(np.sum(data**2))
     diag = float(np.sum(np.einsum("iit->it", data) ** 2))
     return (total + diag) / 2.0
@@ -100,15 +99,12 @@ def rank_select_bic(
             def fit_candidate(r):
                 """(factor, diagnostics, rss) of rank r, or the SSTPCAError its fit raised."""
                 try:
-                    factor, diag = fit_single_factor(residual, opts.with_rank(r))
+                    factor, diag = fit_single_factor(residual, replace(opts, rank=r))
                 except SSTPCAError as e:
                     return e
                 return factor, diag, candidate_rss(residual, rss_residual, factor)
 
-            # Warning filters are process-wide, so they are set here, not in the workers.
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                fits = ordered_map(fit_candidate, range(1, r_max + 1), n_threads)
+            fits = ordered_map(fit_candidate, range(1, r_max + 1), n_threads)
             best = None  # (bic, r, factor)
             for r, fit in enumerate(fits, start=1):
                 if isinstance(fit, SSTPCAError):

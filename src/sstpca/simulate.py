@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -86,28 +85,20 @@ def goe_noise(p: int, T: int, sigma: float, rng: np.random.Generator) -> np.ndar
 
 
 def spike_model(
-    p: int,
-    T: int,
-    r: int,
-    d: float,
-    sigma: float,
-    u_mode: str = "sphere",
-    rng: "np.random.Generator | None" = None,
+    p: int, T: int, r: int, d: float, sigma: float, u_mode: str, rng: np.random.Generator
 ) -> tuple[SemiSymTensor, SpikeTruth]:
     """Low-rank signal d * V o V o u plus symmetric Gaussian noise."""
-    if rng is None:
-        rng = np.random.default_rng()
     if u_mode not in U_MODES:
         raise InvalidParameter(f"u_mode must be one of {U_MODES}, got {u_mode!r}")
     if sigma < 0:
         raise InvalidParameter("sigma must be nonnegative")
+    if d < 0:
+        raise DimensionMismatch("scale d must be nonnegative")
     V_star = random_stiefel(p, r, rng)
     if u_mode == "constant":
         u_star = np.full(T, 1.0 / np.sqrt(T))
     else:
         u_star = random_unit(T, rng, positive=(u_mode == "positive"))
-    if d < 0:
-        raise DimensionMismatch("scale d must be nonnegative")
     # The noise is exactly symmetric, hence so is noise + signal.
     data = _add_rank1(goe_noise(p, T, sigma, rng), d, V_star, u_star)
     snr = float(d / np.sqrt(p * np.log(T))) if T > 1 else float("inf")
@@ -321,14 +312,11 @@ def _run_reps(reps, max_iter: int = 200, tol: float = 1e-8, n_threads: int = 1,
     """`_RepFit` of each seeded rep, a (SweepCell, SeedSequence) pair, in order.
 
     A rep draws its instance from `spike_model`, then any random start, from
-    its own generator. All reps go through one `ordered_map` call (see
-    `_parallel` for the BLAS threads). Fit warnings are silenced on the
-    calling thread: the filters are process-wide, so workers must not touch them.
+    its own generator. All reps go through one `ordered_map` call, which
+    silences fit warnings and sets the BLAS threads (see `_parallel`).
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return ordered_map(lambda rep: _run_rep(*rep, max_iter, tol, all_iterates),
-                           reps, n_threads)
+    return ordered_map(lambda rep: _run_rep(*rep, max_iter, tol, all_iterates),
+                       reps, n_threads)
 
 
 # (metric, mean field, SD field or None) in rate_sweep's column order.

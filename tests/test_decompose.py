@@ -16,6 +16,7 @@ from sstpca.errors import (
     DidNotConvergeWarning,
     DimensionMismatch,
     InvalidGivenInit,
+    SingularSmoother,
     ZeroVector,
 )
 from sstpca.linalg import (
@@ -171,6 +172,23 @@ class TestUUpdate:
         u_plain = u_update(X, V_star)
         u_smooth = u_update(X, V_star, np.eye(X.T))
         assert np.allclose(u_plain, u_smooth, atol=1e-12)
+
+    def test_singular_smoother_fails_the_solve(self):
+        rng = np.random.default_rng(6)
+        X, V_star, _ = noiseless_instance(rng)
+        with pytest.raises(SingularSmoother, match="failed to solve"):
+            u_update(X, V_star, np.zeros((X.T, X.T)))
+
+    def test_indefinite_smoother_gives_a_nonpositive_quadratic_form(self):
+        # The reflection S = I - 2 x^ x^' is symmetric, indefinite and its own
+        # inverse, so x' S^-1 x = -||x||^2.
+        rng = np.random.default_rng(7)
+        X, V_star, _ = noiseless_instance(rng)
+        x = trace_product(X, V_star)
+        x_hat = x / np.linalg.norm(x)
+        S = np.eye(X.T) - 2.0 * np.outer(x_hat, x_hat)
+        with pytest.raises(SingularSmoother, match="quadratic form"):
+            u_update(X, V_star, S)
 
 
 class TestFitSingleFactor:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from click.testing import CliRunner
 from sstpca import cli, decompose
 from sstpca._parallel import _blas_hold_for, _openblas_controls, ordered_map, resolve_threads
 from sstpca.cli import main
-from sstpca.errors import DegenerateIterate
+from sstpca.errors import DegenerateIterate, DidNotConvergeWarning
 from sstpca.tensor import SemiSymTensor, ttv3
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -90,6 +91,30 @@ def test_overlapping_pools_share_one_hold(n_libs):
     assert not b.is_alive()
     assert seen_in_b == [[1] * n_libs] * 2
     assert blas_threads() == [2] * n_libs
+
+
+def _warn_then(fail_at: "int | None"):
+    def fn(i):
+        warnings.warn(f"item {i}", DidNotConvergeWarning)
+        if i == fail_at:
+            raise ZeroDivisionError
+        return i
+    return fn
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+@pytest.mark.parametrize("fail_at", [None, 1], ids=["returns", "raises"])
+def test_pool_swallows_warnings_and_restores_filters(n_threads, fail_at):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        filters = list(warnings.filters)
+        if fail_at is None:
+            assert ordered_map(_warn_then(None), range(3), n_threads) == [0, 1, 2]
+        else:
+            with pytest.raises(ZeroDivisionError):
+                ordered_map(_warn_then(fail_at), range(3), n_threads)
+        assert warnings.filters == filters
+    assert caught == []
 
 
 def _benchmark_results(tmp_path, blas_threads_env: str, workers: str) -> dict:

@@ -86,6 +86,13 @@ class TestSpikeModel:
         with pytest.raises(DimensionMismatch):
             spike_model(5, 3, 1, -1.0, 1.0, "sphere", np.random.default_rng(0))
 
+    def test_rejected_call_draws_nothing(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(DimensionMismatch):
+            spike_model(5, 3, 1, -1.0, 1.0, "sphere", rng)
+        assert rng.bit_generator.state == state
+
 
 class TestReconError:
     @pytest.mark.parametrize("r_fit, eigen_scaled", [(2, False), (3, False), (1, True)])
