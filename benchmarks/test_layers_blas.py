@@ -62,6 +62,7 @@ def test_eigh(benchmark, blas_threads, p):
         return out
 
     w, _ = benchmark.pedantic(eigh, rounds=ROUNDS[p], warmup_rounds=1)
-    cpu = cpu[1:]  # drop the warm-up call
+    if len(cpu) > 1:  # drop the warm-up call; --benchmark-disable makes none
+        cpu = cpu[1:]
     benchmark.extra_info.update(cpu_min_s=min(cpu), cpu_median_s=statistics.median(cpu))
     assert w.shape == (p,)

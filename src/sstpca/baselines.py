@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateMatrix
-from .linalg import normalize, sym, sym_eigen_top_r
+from .linalg import normalize, sym_eigen_top_r
 from .tensor import SemiSymTensor, matricize_upper, trace_product, unuvec
 
 
@@ -84,7 +84,7 @@ def hosvd(X: SemiSymTensor, r: int) -> tuple[np.ndarray, np.ndarray]:
     gram1 = np.einsum("ikt,jkt->ij", data, data)
     if not np.any(gram1):
         raise DegenerateMatrix("tensor is identically zero")
-    V, _ = sym_eigen_top_r(sym(gram1), r)
+    V, _ = sym_eigen_top_r(gram1, r)
     gram3 = np.einsum("ijs,ijt->st", data, data)
-    u_mat, _ = sym_eigen_top_r(sym(gram3), 1)
+    u_mat, _ = sym_eigen_top_r(gram3, 1)
     return V, normalize(u_mat[:, 0])

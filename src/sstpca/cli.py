@@ -24,7 +24,6 @@ it never affects results.
 
 from __future__ import annotations
 
-import csv
 import sys
 import warnings
 from types import SimpleNamespace
@@ -44,6 +43,7 @@ from .fileio import (
     SCHEMA_VERSION,
     factor_to_dict,
     load_tensor,
+    write_csv,
     write_json,
     write_long_csv,
 )
@@ -84,6 +84,11 @@ def _diag_dict(diag) -> dict:
     }
 
 
+def _finite(x):
+    # RSS is exactly zero on noiseless data and snr infinite at T = 1; keep the JSON strict.
+    return float(x) if np.isfinite(x) else None
+
+
 def _thresholded_network(factor, threshold: float) -> np.ndarray:
     W = factor.d * (factor.V @ factor.V.T)
     W[np.abs(W) < threshold] = 0.0
@@ -98,16 +103,6 @@ def _parse_list(text: str, key: str) -> tuple:
         kind = "integers" if cast is int else "numbers"
         flag = "--" + key.replace("_", "-")
         raise ParseError(f"{flag}: expected comma-separated {kind}, got {text!r}") from e
-
-
-def _write_csv(path, header: list, rows) -> None:
-    """Write a CSV side product; no-op when its option was not given."""
-    if not path:
-        return
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 @click.group()
@@ -200,7 +195,7 @@ def decompose(cfg: SimpleNamespace):
         results["principal_networks"] = [
             _thresholded_network(f, cfg.edge_threshold) for f in dec.factors
         ]
-    _write_csv(cfg.trace_csv, ["factor", "iteration", "objective", "u_change"], (
+    write_csv(cfg.trace_csv, ["factor", "iteration", "objective", "u_change"], (
         [k, i + 1, repr(obj), repr(du)]
         for k, diag in enumerate(dec.diagnostics)
         for i, (obj, du) in enumerate(zip(diag.objective, diag.u_change))
@@ -235,21 +230,23 @@ def changepoint(cfg: SimpleNamespace):
     }
     if cfg.edge_threshold is not None:
         results["principal_network"] = _thresholded_network(res.factor, cfg.edge_threshold)
-    _write_csv(cfg.cusum_csv, ["tau", "u_hat"],
-               ([t, repr(float(val))] for t, val in enumerate(res.u_hat, start=1)))
+    write_csv(cfg.cusum_csv, ["tau", "u_hat"],
+              ([t, repr(float(val))] for t, val in enumerate(res.u_hat, start=1)))
     return results, None if res.diagnostics.converged else "fit did not converge"
 
 
 def _simulate_spike(cfg: SimpleNamespace, rng: np.random.Generator) -> tuple:
     X, truth = spike_model(cfg.p, cfg.T, cfg.r, cfg.d, cfg.sigma, cfg.u_mode, rng)
-    return X, {"d": truth.d, "sigma": truth.sigma, "snr": truth.snr, "u_star": truth.u_star,
-               "V_star": truth.V_star.ravel(order="C")}
+    return X, {"d": truth.d, "sigma": truth.sigma, "snr": _finite(truth.snr),
+               "u_star": truth.u_star, "V_star": truth.V_star.ravel(order="C")}
 
 
 def _simulate_shift(cfg: SimpleNamespace, rng: np.random.Generator) -> tuple:
     tau = cfg.tau if cfg.tau is not None else cfg.T // 2
     if not 1 <= tau <= cfg.T - 1:
         raise InvalidParameter(f"--tau must lie in 1..T-1 = 1..{cfg.T - 1}, got {tau}")
+    if not np.isfinite(cfg.d):
+        raise InvalidParameter(f"--d must be finite, got {cfg.d}")
     V1 = random_stiefel(cfg.p, cfg.r, rng)
     V2 = random_stiefel(cfg.p, cfg.r, rng)
     M1 = cfg.d * (V1 @ V1.T)
@@ -297,7 +294,7 @@ def _simulate_fig3(cfg: SimpleNamespace) -> dict:
             "frac_comp_ge_15": sum(f.diag.iterations >= 15 for f in group) / cfg.seeds,
             "mean_final_armse": np.mean([f.armse for f in group]),
         }
-    _write_csv(cfg.csv_out, ["r", "seed", "iteration", "objective", "armse", "u_err"], rows)
+    write_csv(cfg.csv_out, ["r", "seed", "iteration", "objective", "armse", "u_err"], rows)
     return {"per_rank": summary, "trace_csv": cfg.csv_out, "seeds": cfg.seeds}
 
 
@@ -362,14 +359,8 @@ def benchmark(cfg: SimpleNamespace):
     ]
     results = rate_sweep(cells, reps=cfg.reps, seed=cfg.seed,
                          n_threads=resolve_threads(cfg.threads))
-    if cfg.csv_out:
-        write_sweep_csv(results, cfg.csv_out)
+    write_sweep_csv(results, cfg.csv_out)
     return {"rows": sweep_rows(results)}, None
-
-
-def _finite(x):
-    # RSS can be exactly zero on noiseless data; keep the JSON strict.
-    return float(x) if np.isfinite(x) else None
 
 
 @_command(

@@ -62,7 +62,7 @@ class FitOptions:
     def __post_init__(self):
         if self.rank < 1:
             raise DimensionMismatch(f"rank {self.rank} must be at least 1")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise DimensionMismatch("tol must be positive")
         if self.max_iter < 1:
             raise DimensionMismatch("max_iter must be at least 1")

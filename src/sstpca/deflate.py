@@ -28,6 +28,7 @@ from .tensor import new_from_slices  # noqa: F401  (perfbench times deflate.new_
 
 SCHEMES = ("hotelling", "projection", "schur")
 SCHUR_COND_LIMIT = 1e12
+PSD_TOL = 1e-10  # relative to max(1, ||X||), for slices_all_psd
 
 
 @dataclass
@@ -127,9 +128,9 @@ def orthogonality_report(X_next: SemiSymTensor, f: Factor) -> OrthogonalityRepor
     return OrthogonalityReport(two_way, u_one_way, v1, v2)
 
 
-def slices_all_psd(X: SemiSymTensor, tol: float = 1e-10) -> bool:
+def slices_all_psd(X: SemiSymTensor) -> bool:
     stacked = np.moveaxis(X.data, 2, 0)
-    return bool(np.linalg.eigvalsh(stacked).min() >= -tol * max(1.0, frob_norm(X)))
+    return bool(np.linalg.eigvalsh(stacked).min() >= -PSD_TOL * max(1.0, frob_norm(X)))
 
 
 def fit_multi(

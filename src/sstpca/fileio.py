@@ -3,7 +3,8 @@
 Two input formats:
 
   slice-dir  a directory of dense p x p CSV files, one per slice, read in
-             lexicographic filename order
+             lexicographic filename order; blank lines are skipped and
+             errors name the file line
   long-csv   a single file with header ``t,i,j,w`` and rows of integers
              t, i, j and a finite weight w, in any order; missing pairs are
              zero. The distinct t values are sorted and renumbered 1..T
@@ -28,6 +29,7 @@ from .decompose import Factor
 from .errors import (
     AsymmetricInput,
     AsymmetricSlice,
+    DimensionMismatch,
     InconsistentDimensions,
     NonFiniteEntry,
     ParseError,
@@ -42,19 +44,19 @@ SCHEMA_VERSION = 1
 def _read_csv_matrix(path: Path) -> np.ndarray:
     rows = []
     with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or all(not c.strip() for c in row):
                 continue
+            where = f"{path.name}, row {reader.line_num}"
             try:
                 rows.append([float(c) for c in row])
             except ValueError as e:
-                raise ParseError(f"{path.name}, row {lineno}: {e}") from e
+                raise ParseError(f"{where}: {e}") from e
+            if len(row) != len(rows[0]):
+                raise ParseError(f"{where}: expected {len(rows[0])} columns, got {len(row)}")
     if not rows:
         raise ParseError(f"{path.name}: no numeric rows")
-    width = len(rows[0])
-    for lineno, r in enumerate(rows, start=1):
-        if len(r) != width:
-            raise ParseError(f"{path.name}, row {lineno}: expected {width} columns, got {len(r)}")
     return np.asarray(rows)
 
 
@@ -62,14 +64,13 @@ def _load_slice_dir(root: Path) -> SemiSymTensor:
     files = sorted(p for p in root.iterdir() if p.is_file())
     if not files:
         raise ParseError(f"{root}: directory holds no slice files")
-    mats = [_read_csv_matrix(f) for f in files]
-    shapes = {m.shape for m in mats}
-    if len(shapes) > 1 or any(s[0] != s[1] for s in shapes):
-        raise InconsistentDimensions(f"slice shapes {sorted(shapes)} are not one common p x p")
+    mats = [_read_csv_matrix(f) for f in files]  # a list: parsing is not timed as new_from_slices
     try:
         return new_from_slices(mats)
     except AsymmetricSlice as e:
         raise AsymmetricInput(str(e)) from e
+    except DimensionMismatch as e:
+        raise InconsistentDimensions(str(e)) from e
 
 
 # One data row of a long-csv file.
@@ -200,6 +201,16 @@ def write_long_csv(X: SemiSymTensor, path) -> None:
             weights = map(repr, X.data[iu, ju, t].tolist())
             sep = f"\r\n{t + 1},"  # ends one line and starts the next
             fh.write(sep[2:] + sep.join(map(str.__add__, pairs, weights)) + "\r\n")
+
+
+def write_csv(path, header: list, rows) -> None:
+    """Write a CSV table, header row first, CRLF line ends; no-op without a path."""
+    if not path:
+        return
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _jsonable(obj):

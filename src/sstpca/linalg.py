@@ -16,10 +16,10 @@ def _columns(V: np.ndarray) -> np.ndarray:
     return V.reshape(len(V), -1)
 
 
-def is_orthonormal(V: np.ndarray, tol: float = STIEFEL_TOL) -> bool:
+def is_orthonormal(V: np.ndarray) -> bool:
     V = _columns(V)
     gram = V.T @ V
-    return bool(np.abs(gram - np.eye(V.shape[1])).max() <= tol)
+    return bool(np.abs(gram - np.eye(V.shape[1])).max() <= STIEFEL_TOL)
 
 
 def sym(A: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:

@@ -8,7 +8,6 @@ reporting aligned recovery errors across a parameter grid.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass, replace
 
@@ -17,6 +16,7 @@ import numpy as np
 from ._parallel import ordered_map
 from .decompose import Factor, FitDiagnostics, FitOptions, fit_single_factor
 from .errors import BudgetExceeded, DimensionMismatch, InvalidParameter, InvalidProbability
+from .fileio import write_csv
 from .linalg import (
     procrustes_aligned_rmse,
     random_stiefel,
@@ -77,6 +77,8 @@ def goe_noise(p: int, T: int, sigma: float, rng: np.random.Generator) -> np.ndar
     then the diagonals as one (T, p) draw: the stream of a single draw of
     them all, at a peak of the output plus one block.
     """
+    if not sigma >= 0:
+        raise InvalidParameter("sigma must be nonnegative")
     out = np.empty((p, p, T))
     _draw_off_diagonal(out, lambda n, n_off: rng.normal(0.0, sigma, size=(n, n_off)))
     diag = rng.normal(0.0, sigma * np.sqrt(2.0), size=(T, p))
@@ -90,9 +92,7 @@ def spike_model(
     """Low-rank signal d * V o V o u plus symmetric Gaussian noise."""
     if u_mode not in U_MODES:
         raise InvalidParameter(f"u_mode must be one of {U_MODES}, got {u_mode!r}")
-    if sigma < 0:
-        raise InvalidParameter("sigma must be nonnegative")
-    if d < 0:
+    if not d >= 0:
         raise DimensionMismatch("scale d must be nonnegative")
     V_star = random_stiefel(p, r, rng)
     if u_mode == "constant":
@@ -156,7 +156,7 @@ def dirichlet_latents(p: int, r: int, alpha: float, rng: np.random.Generator) ->
     """p latent positions on the (r-1)-simplex."""
     if r < 1:
         raise InvalidParameter(f"latent dimension r={r} must be at least 1")
-    if alpha <= 0:
+    if not alpha > 0:
         raise InvalidParameter(f"alpha={alpha} must be positive")
     return rng.dirichlet(np.full(r, alpha), size=p)
 
@@ -185,7 +185,7 @@ def fit_adversarial(
     V-update target and a vector added to the u-update target. Operator
     norm of E_V and 2-norm of e_u must not exceed the budget.
     """
-    if noise_budget < 0:
+    if not noise_budget >= 0:
         raise DimensionMismatch("noise budget must be nonnegative")
 
     def perturb(k):
@@ -379,9 +379,5 @@ def sweep_rows(results) -> list:
 
 
 def write_sweep_csv(results, path) -> None:
-    rows = sweep_rows(results)
     fields = ["p", "T", "r", "d", "sigma", "u_mode", "init", "reps", "metric", "mean", "sd"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
+    write_csv(path, fields, ([row[f] for f in fields] for row in sweep_rows(results)))

@@ -143,7 +143,7 @@ def _add_rank1(data: np.ndarray, d: float, V: np.ndarray, u: np.ndarray) -> np.n
 
 def rank1_outer(d: float, V: np.ndarray, u: np.ndarray) -> SemiSymTensor:
     """Single-factor tensor with slice t equal to d * u_t * V V'."""
-    if d < 0:
+    if not d >= 0:
         raise DimensionMismatch("scale d must be nonnegative")
     p, T = len(V), np.size(u)
     # -0.0 + x == x for every float x (signed zeros too): entries are exactly d W_ij u_t.
@@ -217,25 +217,14 @@ def ttm(X, A: np.ndarray, mode: int) -> np.ndarray:
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise DimensionMismatch(f"mode matrix must be 2-d, got {A.shape}")
-    if mode == 1:
-        if A.shape[0] != data.shape[0]:
-            raise DimensionMismatch(f"mode-1 matrix needs {data.shape[0]} rows, got {A.shape[0]}")
-        return np.einsum("ij,ikt->jkt", A, data)
-    if mode == 2:
-        if A.shape[0] != data.shape[1]:
-            raise DimensionMismatch(f"mode-2 matrix needs {data.shape[1]} rows, got {A.shape[0]}")
-        return np.einsum("kj,ikt->ijt", A, data)
+    if mode not in (1, 2, 3):
+        raise DimensionMismatch(f"mode must be 1, 2 or 3, got {mode}")
+    n = data.shape[mode - 1]
+    if A.shape[0] != n:
+        raise DimensionMismatch(f"mode-{mode} matrix needs {n} rows, got {A.shape[0]}")
     if mode == 3:
-        if A.shape[0] != data.shape[2]:
-            raise DimensionMismatch(f"mode-3 matrix needs {data.shape[2]} rows, got {A.shape[0]}")
         return np.tensordot(data, A, axes=([2], [0]))
-    raise DimensionMismatch(f"mode must be 1, 2 or 3, got {mode}")
-
-
-def slice_opnorms(X) -> np.ndarray:
-    """Largest-magnitude eigenvalue of every slice."""
-    data = _as_data(X)
-    return np.abs(np.linalg.eigvalsh(np.moveaxis(sym(data), 2, 0))).max(axis=1)
+    return np.einsum("ij,ikt->jkt" if mode == 1 else "kj,ikt->ijt", A, data)
 
 
 def ropnorm_upper_bound(X, r: int) -> float:
@@ -244,7 +233,8 @@ def ropnorm_upper_bound(X, r: int) -> float:
     p, T = data.shape[0], data.shape[2]
     if not 1 <= r <= p:
         raise DimensionMismatch(f"rank r={r} must lie in [1, {p}]")
-    return float(r * np.sqrt(T) * slice_opnorms(data).max())
+    opnorm = np.abs(np.linalg.eigvalsh(np.moveaxis(sym(data), 2, 0))).max()
+    return float(r * np.sqrt(T) * opnorm)
 
 
 def ropnorm_sampled_lower(X, r: int, n_samples: int, rng: np.random.Generator) -> float:

@@ -70,10 +70,16 @@ def shift_csv(tmp_path, runner):
         (["simulate", "--preset", "fig3", "--r-list", "0"], 2),
         (["simulate", "--preset", "fig3", "--r-list=-1"], 2),
         (["simulate", "--preset", "fig3", "--r-list", ""], 2),
+        (["simulate", "--preset", "shift", "--sigma", "-1"], 2),
+        (["simulate", "--preset", "shift", "--d", "nan"], 2),
+        (["simulate", "--preset", "spike", "--d", "nan"], 2),
+        (["simulate", "--preset", "spike", "--sigma", "nan"], 2),
+        (["simulate", "--preset", "spike", "--tol", "nan"], 2),
     ],
     ids=["simulate", "benchmark", "rank-select", "changepoint", "trace-csv-unwritable",
          "output-unwritable", "spike-tol-0", "decompose-rank-0", "fig3-seeds-0",
-         "fig3-seeds-neg", "fig3-rank-0", "fig3-rank-neg", "fig3-no-ranks"],
+         "fig3-seeds-neg", "fig3-rank-0", "fig3-rank-neg", "fig3-no-ranks",
+         "shift-sigma-neg", "shift-d-nan", "spike-d-nan", "spike-sigma-nan", "spike-tol-nan"],
 )
 def test_exit_code_contract(tmp_path, runner, spike_csv, shift_csv, args, code):
     """Input errors and unwritable paths exit 2 with no artifact; non-convergence
@@ -338,6 +344,17 @@ class TestSimulateCommand:
         assert result.exit_code == 2, result.output
         assert result.stderr.startswith("error: r=0 must be at least 1")
         assert not out.exists() and not data.exists()
+
+    def test_spike_at_one_slice_writes_strict_json(self, tmp_path, runner):
+        out = tmp_path / "spike.json"
+        run_ok(runner, ["simulate", "--preset", "spike", "--p", "6", "--t", "1",
+                        "--output", str(out)])
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        res = json.loads(out.read_text(), parse_constant=reject)["results"]
+        assert res["snr"] is None
 
     def test_spike_truth_schema(self, tmp_path, runner, spike_csv):
         _, truth = spike_csv

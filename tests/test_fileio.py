@@ -184,13 +184,29 @@ class TestSliceDir:
         assert X.slice(0)[0, 1] == 1.0
         assert X.slice(1)[0, 1] == 2.0
 
-    def test_inconsistent_dims(self, tmp_path):
+    @pytest.mark.parametrize("files", [
+        {"a.csv": "0,1\n1,0\n", "b.csv": "0,1,2\n1,0,3\n2,3,0\n"},
+        {"a.csv": "0,1,2\n1,0,3\n"},
+    ], ids=["two-sizes", "not-square"])
+    def test_inconsistent_dims(self, tmp_path, files):
         d = tmp_path / "slices"
         d.mkdir()
-        (d / "a.csv").write_text("0,1\n1,0\n")
-        (d / "b.csv").write_text("0,1,2\n1,0,3\n2,3,0\n")
+        for name, text in files.items():
+            (d / name).write_text(text)
         with pytest.raises(InconsistentDimensions):
             load_tensor(d, "slice-dir")
+
+    def test_same_bytes_as_long_csv(self, tmp_path):
+        X, _ = spike_model(7, 4, 2, 3.0, 1.0, "sphere", np.random.default_rng(8))
+        write_long_csv(X, tmp_path / "long.csv")
+        d = tmp_path / "slices"
+        d.mkdir()
+        for t in range(X.T):
+            (d / f"s{t}.csv").write_text(
+                "\n".join(",".join(map(repr, row)) for row in X.slice(t).tolist()) + "\n")
+        from_dir = load_tensor(d, "slice-dir").data
+        assert from_dir.tobytes() == load_tensor(tmp_path / "long.csv", "long-csv").data.tobytes()
+        assert from_dir.tobytes() == X.data.tobytes()
 
     def test_asymmetric_input(self, tmp_path):
         d = tmp_path / "slices"
@@ -204,6 +220,13 @@ class TestSliceDir:
         d.mkdir()
         (d / "a.csv").write_text("0,1\n1\n")
         with pytest.raises(ParseError):
+            load_tensor(d, "slice-dir")
+
+    def test_errors_name_the_file_line(self, tmp_path):
+        d = tmp_path / "slices"
+        d.mkdir()
+        (d / "a.csv").write_text("0,1\n\n1\n")
+        with pytest.raises(ParseError, match="a.csv, row 3: expected 2 columns, got 1"):
             load_tensor(d, "slice-dir")
 
     def test_unknown_format(self, tmp_path):

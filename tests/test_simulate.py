@@ -94,6 +94,26 @@ class TestSpikeModel:
         assert rng.bit_generator.state == state
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda rng: FitOptions(tol=NAN), DimensionMismatch),
+    (lambda rng: spike_model(5, 3, 1, NAN, 1.0, "sphere", rng), DimensionMismatch),
+    (lambda rng: spike_model(5, 3, 1, 2.0, NAN, "sphere", rng), InvalidParameter),
+    (lambda rng: goe_noise(5, 3, -1.0, rng), InvalidParameter),
+    (lambda rng: rank1_outer(NAN, np.eye(3, 1), np.ones(2)), DimensionMismatch),
+    (lambda rng: fit_adversarial(spike_model(6, 4, 1, 5.0, 0.0, "sphere", rng)[0], FitOptions(),
+                                 NAN, lambda k: (10.0 * np.eye(6), np.zeros(4))),
+     DimensionMismatch),
+    (lambda rng: dirichlet_latents(5, 2, NAN, rng), InvalidParameter),
+], ids=["tol", "spike-d", "spike-sigma", "goe-sigma-neg", "rank1-d", "adversarial-budget",
+        "dirichlet-alpha"])
+def test_nan_and_negative_model_values_rejected(call, error):
+    with pytest.raises(error):
+        call(np.random.default_rng(0))
+
+
 class TestReconError:
     @pytest.mark.parametrize("r_fit, eigen_scaled", [(2, False), (3, False), (1, True)])
     def test_matches_dense_error(self, r_fit, eigen_scaled):

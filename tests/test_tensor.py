@@ -351,6 +351,12 @@ class TestTtm:
         with pytest.raises(DimensionMismatch):
             ttm(X, np.eye(2), 4)
 
+    @pytest.mark.parametrize("mode, n", [(1, 4), (2, 4), (3, 3)])
+    def test_wrong_row_count_names_the_mode(self, mode, n):
+        X = random_tensor(np.random.default_rng(13), p=4, T=3)
+        with pytest.raises(DimensionMismatch, match=f"mode-{mode} matrix needs {n} rows, got 5"):
+            ttm(X, np.ones((5, 2)), mode)
+
 
 class TestRopnorm:
     def test_identity_slices_upper(self):
