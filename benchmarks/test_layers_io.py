@@ -8,8 +8,11 @@ thread count, for example
 
 Each case reports min and median over its rounds. The input is p=300, T=20:
 every pair i <= j once per slice (903,000 rows), shuffled, with off-diagonal
-pairs written as i,j or j,i at random.
+pairs written as i,j or j,i at random. The long-csv read also records its
+tracemalloc peak, from one separate untimed call, in extra_info.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +57,12 @@ def long_csv(tmp_path_factory, tensor):
 def test_load_tensor_long_csv(benchmark, long_csv, tensor):
     X = benchmark.pedantic(load_tensor, args=(long_csv, "long-csv"), rounds=5)
     assert np.array_equal(X.data, tensor.data)
+    tracemalloc.start()  # one more call, untimed: tracing slows allocation
+    try:
+        load_tensor(long_csv, "long-csv")
+        benchmark.extra_info["tracemalloc_peak_bytes"] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_write_long_csv(benchmark, tensor, tmp_path):

@@ -77,8 +77,8 @@ def goe_noise(p: int, T: int, sigma: float, rng: np.random.Generator) -> np.ndar
     then the diagonals as one (T, p) draw: the stream of a single draw of
     them all, at a peak of the output plus one block.
     """
-    if not sigma >= 0:
-        raise InvalidParameter("sigma must be nonnegative")
+    if not 0 <= sigma < np.inf:
+        raise InvalidParameter("sigma must be finite and nonnegative")
     out = np.empty((p, p, T))
     _draw_off_diagonal(out, lambda n, n_off: rng.normal(0.0, sigma, size=(n, n_off)))
     diag = rng.normal(0.0, sigma * np.sqrt(2.0), size=(T, p))
@@ -92,8 +92,8 @@ def spike_model(
     """Low-rank signal d * V o V o u plus symmetric Gaussian noise."""
     if u_mode not in U_MODES:
         raise InvalidParameter(f"u_mode must be one of {U_MODES}, got {u_mode!r}")
-    if not d >= 0:
-        raise DimensionMismatch("scale d must be nonnegative")
+    if not 0 <= d < np.inf:
+        raise DimensionMismatch("scale d must be finite and nonnegative")
     V_star = random_stiefel(p, r, rng)
     if u_mode == "constant":
         u_star = np.full(T, 1.0 / np.sqrt(T))

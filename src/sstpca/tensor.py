@@ -143,11 +143,12 @@ def _add_rank1(data: np.ndarray, d: float, V: np.ndarray, u: np.ndarray) -> np.n
 
 def rank1_outer(d: float, V: np.ndarray, u: np.ndarray) -> SemiSymTensor:
     """Single-factor tensor with slice t equal to d * u_t * V V'."""
-    if not d >= 0:
-        raise DimensionMismatch("scale d must be nonnegative")
+    if not 0 <= d < np.inf:
+        raise DimensionMismatch("scale d must be finite and nonnegative")
     p, T = len(V), np.size(u)
     # -0.0 + x == x for every float x (signed zeros too): entries are exactly d W_ij u_t.
-    return SemiSymTensor._trusted(_add_rank1(np.full((p, p, T), -0.0), d, V, u))
+    # The constructor rejects a non-finite V or u, or an overflow, as NonFiniteEntry.
+    return SemiSymTensor(_add_rank1(np.full((p, p, T), -0.0), d, V, u))
 
 
 def factor_inner(a: float, V: np.ndarray, u: np.ndarray, b: float, W: np.ndarray,

@@ -75,11 +75,18 @@ def shift_csv(tmp_path, runner):
         (["simulate", "--preset", "spike", "--d", "nan"], 2),
         (["simulate", "--preset", "spike", "--sigma", "nan"], 2),
         (["simulate", "--preset", "spike", "--tol", "nan"], 2),
+        (["simulate", "--preset", "spike", "--sigma", "inf"], 2),
+        (["simulate", "--preset", "spike", "--d", "inf"], 2),
+        (["simulate", "--preset", "shift", "--sigma", "inf"], 2),
+        (["benchmark", "--p-list", "6", "--t", "4", "--reps", "1", "--d-list", "inf"], 2),
+        (["benchmark", "--p-list", "6", "--t", "4", "--reps", "1", "--sigma", "inf"], 2),
     ],
     ids=["simulate", "benchmark", "rank-select", "changepoint", "trace-csv-unwritable",
          "output-unwritable", "spike-tol-0", "decompose-rank-0", "fig3-seeds-0",
          "fig3-seeds-neg", "fig3-rank-0", "fig3-rank-neg", "fig3-no-ranks",
-         "shift-sigma-neg", "shift-d-nan", "spike-d-nan", "spike-sigma-nan", "spike-tol-nan"],
+         "shift-sigma-neg", "shift-d-nan", "spike-d-nan", "spike-sigma-nan", "spike-tol-nan",
+         "spike-sigma-inf", "spike-d-inf", "shift-sigma-inf", "benchmark-d-inf",
+         "benchmark-sigma-inf"],
 )
 def test_exit_code_contract(tmp_path, runner, spike_csv, shift_csv, args, code):
     """Input errors and unwritable paths exit 2 with no artifact; non-convergence

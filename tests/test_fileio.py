@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -129,6 +130,12 @@ class TestLongCsvContract:
     def test_agreeing_duplicates_keep_the_first(self, tmp_path):
         X = self.load(tmp_path, "t,i,j,w\n1,2,1,0.5\n1,1,2,0.500000001\n")
         assert X.slice(0)[0, 1] == 0.5
+        # The later copy mirrored as (j, i), and with a row of another slice
+        # read between the copies; (a, b) and (b, a) both hold the first bits.
+        for body, t in [("1,1,2,0.5\n1,2,1,0.500000001\n", 0),
+                        ("2,1,2,0.5\n1,1,2,7\n2,2,1,0.500000001\n1,2,1,7\n", 1)]:
+            S = self.load(tmp_path, "t,i,j,w\n" + body).slice(t)
+            assert S[0, 1] == S[1, 0] == 0.5
 
     def test_zero_based_index_row(self, tmp_path):
         with pytest.raises(ParseError, match="row 3: node indices are 1-based"):
@@ -161,6 +168,31 @@ class TestLongCsvContract:
         text = "t,i,j,w\n" + "".join(f"{t},{i},{j},{w!r}\n" for t, i, j, w in rows)
         X = self.load(tmp_path, text)
         assert np.array_equal(X.data, reference_load(rows))
+
+    def test_memory_bound(self, tmp_path):
+        """Reading peaks below 72 B per row plus twice the tensor's bytes.
+
+        Every pair i <= j once per slice, shuffled, each off-diagonal pair
+        written as i,j or j,i at random; the tensor is 16 B per row here.
+        """
+        rng = np.random.default_rng(11)
+        p, T = 60, 10
+        iu, ju = np.triu_indices(p)
+        tt, ii, jj = np.repeat(np.arange(T), iu.size), np.tile(iu, T), np.tile(ju, T)
+        swap = rng.random(tt.size) < 0.5
+        rows = np.stack([tt, np.where(swap, jj, ii), np.where(swap, ii, jj)], axis=1) + 1
+        rows = rows[rng.permutation(tt.size)].tolist()
+        text = "".join(f"{t},{i},{j},{w!r}\n"
+                       for (t, i, j), w in zip(rows, rng.standard_normal(tt.size).tolist()))
+        path = tmp_path / "data.csv"
+        path.write_text("t,i,j,w\n" + text)
+        tracemalloc.start()
+        try:
+            X = load_tensor(path, "long-csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 72 * tt.size + 2 * X.data.nbytes, peak
 
 
 def test_write_long_csv_golden_bytes(tmp_path):

@@ -11,6 +11,7 @@ from sstpca.errors import (
     DimensionMismatch,
     InvalidParameter,
     InvalidProbability,
+    NonFiniteEntry,
 )
 from sstpca.linalg import random_stiefel, random_unit, sign_aligned_error
 from sstpca.simulate import (
@@ -94,7 +95,7 @@ class TestSpikeModel:
         assert rng.bit_generator.state == state
 
 
-NAN = float("nan")
+NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("call, error", [
@@ -107,8 +108,16 @@ NAN = float("nan")
                                  NAN, lambda k: (10.0 * np.eye(6), np.zeros(4))),
      DimensionMismatch),
     (lambda rng: dirichlet_latents(5, 2, NAN, rng), InvalidParameter),
+    (lambda rng: spike_model(5, 3, 1, INF, 1.0, "sphere", rng), DimensionMismatch),
+    (lambda rng: spike_model(5, 3, 1, 2.0, INF, "sphere", rng), InvalidParameter),
+    (lambda rng: goe_noise(5, 3, INF, rng), InvalidParameter),
+    (lambda rng: rank1_outer(INF, np.eye(3, 1), np.ones(2)), DimensionMismatch),
+    (lambda rng: rank1_outer(1.0, np.full((3, 1), NAN), np.ones(2)), NonFiniteEntry),
+    (lambda rng: rank1_outer(1e308, np.eye(3, 1), np.ones(2)), NonFiniteEntry),
 ], ids=["tol", "spike-d", "spike-sigma", "goe-sigma-neg", "rank1-d", "adversarial-budget",
-        "dirichlet-alpha"])
+        "dirichlet-alpha", "spike-d-inf", "spike-sigma-inf", "goe-sigma-inf", "rank1-d-inf",
+        "rank1-V-nan", "rank1-overflow"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_nan_and_negative_model_values_rejected(call, error):
     with pytest.raises(error):
         call(np.random.default_rng(0))
