@@ -14,12 +14,16 @@ T=20, on a spiked tensor (r=3, d=60, sigma=1, sphere loadings):
   the u-weighted slice sum at rank 3.
 - ``test_convergence_check``: ``sin_theta_frob`` of two p x 3 bases, the
   planted one and a small random rotation of it.
+
+``test_small_fit`` times a whole ``fit_single_factor`` at each of perfbench
+sweep-small's p values (20, 60, 100), T=50, rank 1, d=30, sigma=1, positive
+loadings, stable start; at these p the fit holds OpenBLAS at one thread.
 """
 
 import numpy as np
 import pytest
 
-from sstpca.decompose import _best_eigen_block
+from sstpca.decompose import FitOptions, _best_eigen_block, fit_single_factor
 from sstpca.linalg import sin_theta_frob
 from sstpca.simulate import spike_model
 from sstpca.tensor import trace_product, ttv3
@@ -62,3 +66,10 @@ def test_convergence_check(benchmark, spiked):
     W, _ = np.linalg.qr(truth.V_star + 1e-3 * rng.standard_normal(truth.V_star.shape))
     dist = benchmark.pedantic(sin_theta_frob, args=(W, truth.V_star), rounds=200)
     assert 0.0 < dist < 0.1
+
+
+@pytest.mark.parametrize("p", [20, 60, 100])
+def test_small_fit(benchmark, p):
+    X, _ = spike_model(p, 50, 1, 30.0, SIGMA, "positive", np.random.default_rng(SEED))
+    _, diag = benchmark.pedantic(fit_single_factor, args=(X, FitOptions()), rounds=30)
+    assert diag.converged

@@ -180,12 +180,6 @@ def _validate_options(X: SemiSymTensor, opts: FitOptions) -> None:
         raise DimensionMismatch(f"smoother must be {X.T} x {X.T}, got {np.shape(opts.smoother)}")
 
 
-def _column_normalized(V: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(V, axis=0)
-    safe = np.where(norms > 0, norms, 1.0)
-    return V / safe
-
-
 def fit_single_factor(
     X: SemiSymTensor, opts: FitOptions, _perturb=None
 ) -> tuple[Factor, FitDiagnostics]:
@@ -235,15 +229,14 @@ def fit_single_factor(
             u_change = float(np.linalg.norm(u_new - u))
             diag.objective.append(obj)
             diag.u_change.append(u_change)
-            diag.u_trace.append(u_new.copy())
-            diag.V_trace.append(V.copy())
+            diag.u_trace.append(u_new)
+            diag.V_trace.append(V)
             diag.iterations = k + 1
 
-            v_change = np.inf
-            if k > 0:
-                v_change = sin_theta_frob(_column_normalized(V),
-                                          _column_normalized(diag.V_trace[-2]))
-            u = u_new
+            norms = np.linalg.norm(V, axis=0)
+            V_unit = V / np.where(norms > 0, norms, 1.0)
+            v_change = np.inf if k == 0 else sin_theta_frob(V_unit, V_unit_prev)
+            u, V_unit_prev = u_new, V_unit
             if u_change < opts.tol and v_change < opts.tol:
                 diag.converged = True
                 break

@@ -46,7 +46,6 @@ def eigen_block(A: np.ndarray, pick) -> tuple[np.ndarray, np.ndarray]:
     V = Q[:, order].copy()
     pivot = np.argmax(np.abs(V), axis=0)
     signs = np.sign(V[pivot, np.arange(V.shape[1])])
-    signs[signs == 0] = 1.0
     V *= signs
     return V, w[order]
 

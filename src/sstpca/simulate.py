@@ -94,6 +94,8 @@ def spike_model(
         raise InvalidParameter(f"u_mode must be one of {U_MODES}, got {u_mode!r}")
     if not 0 <= d < np.inf:
         raise DimensionMismatch("scale d must be finite and nonnegative")
+    if p < 1 or T < 1:
+        raise InvalidParameter(f"need p >= 1 and T >= 1, got p={p}, T={T}")
     V_star = random_stiefel(p, r, rng)
     if u_mode == "constant":
         u_star = np.full(T, 1.0 / np.sqrt(T))
@@ -347,6 +349,9 @@ def rate_sweep(
     cells = list(cells)
     if not cells or reps < 1:
         raise DimensionMismatch("need a nonempty grid and reps >= 1")
+    for cell in cells:  # recon_err is relative to the signal's norm
+        if not cell.d > 0:
+            raise InvalidParameter(f"signal strength d must be positive, got d={cell.d}")
     cell_seeds = np.random.SeedSequence(seed).spawn(len(cells))
     fits = _run_reps([(cell, rep_seed) for cell, cell_seed in zip(cells, cell_seeds)
                       for rep_seed in cell_seed.spawn(reps)], max_iter, tol, n_threads)

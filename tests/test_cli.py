@@ -80,13 +80,18 @@ def shift_csv(tmp_path, runner):
         (["simulate", "--preset", "shift", "--sigma", "inf"], 2),
         (["benchmark", "--p-list", "6", "--t", "4", "--reps", "1", "--d-list", "inf"], 2),
         (["benchmark", "--p-list", "6", "--t", "4", "--reps", "1", "--sigma", "inf"], 2),
+        (["benchmark", "--p-list", "6", "--t", "4", "--reps", "1", "--d-list", "0"], 2),
+        (["benchmark", "--p-list", "6", "--t", "-2", "--reps", "1"], 2),
+        (["simulate", "--preset", "spike", "--t", "-1"], 2),
+        (["simulate", "--preset", "fig3", "--t", "-1"], 2),
     ],
     ids=["simulate", "benchmark", "rank-select", "changepoint", "trace-csv-unwritable",
          "output-unwritable", "spike-tol-0", "decompose-rank-0", "fig3-seeds-0",
          "fig3-seeds-neg", "fig3-rank-0", "fig3-rank-neg", "fig3-no-ranks",
          "shift-sigma-neg", "shift-d-nan", "spike-d-nan", "spike-sigma-nan", "spike-tol-nan",
          "spike-sigma-inf", "spike-d-inf", "shift-sigma-inf", "benchmark-d-inf",
-         "benchmark-sigma-inf"],
+         "benchmark-sigma-inf", "benchmark-d-zero", "benchmark-t-neg", "spike-t-neg",
+         "fig3-t-neg"],
 )
 def test_exit_code_contract(tmp_path, runner, spike_csv, shift_csv, args, code):
     """Input errors and unwritable paths exit 2 with no artifact; non-convergence

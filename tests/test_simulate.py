@@ -114,9 +114,14 @@ NAN, INF = float("nan"), float("inf")
     (lambda rng: rank1_outer(INF, np.eye(3, 1), np.ones(2)), DimensionMismatch),
     (lambda rng: rank1_outer(1.0, np.full((3, 1), NAN), np.ones(2)), NonFiniteEntry),
     (lambda rng: rank1_outer(1e308, np.eye(3, 1), np.ones(2)), NonFiniteEntry),
+    (lambda rng: spike_model(0, 3, 1, 2.0, 1.0, "sphere", rng), InvalidParameter),
+    (lambda rng: spike_model(5, 0, 1, 2.0, 1.0, "sphere", rng), InvalidParameter),
+    (lambda rng: spike_model(5, -1, 1, 2.0, 1.0, "sphere", rng), InvalidParameter),
+    (lambda rng: rate_sweep([SweepCell(6, 4, 1, 0.0, 1.0)], reps=1, seed=0), InvalidParameter),
 ], ids=["tol", "spike-d", "spike-sigma", "goe-sigma-neg", "rank1-d", "adversarial-budget",
         "dirichlet-alpha", "spike-d-inf", "spike-sigma-inf", "goe-sigma-inf", "rank1-d-inf",
-        "rank1-V-nan", "rank1-overflow"])
+        "rank1-V-nan", "rank1-overflow", "spike-p-0", "spike-T-0", "spike-T-neg",
+        "sweep-d-0"])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_nan_and_negative_model_values_rejected(call, error):
     with pytest.raises(error):
