@@ -85,6 +85,8 @@ MATRIX = [
     ("error-spike-tol-0", ["simulate", "--preset", "spike", "--tol", "0"], []),
     *[(f"error-{preset}-r-0", ["simulate", "--preset", preset, "--r", "0"], [])
       for preset in ("spike", "shift")],
+    ("error-shift-t-0", ["simulate", "--preset", "shift", "--t", "0"], []),
+    ("error-shift-p-0", ["simulate", "--preset", "shift", "--p", "0"], []),
 ]
 
 # Environment variables a matrix job sets on both trees, by job name.

@@ -18,6 +18,11 @@ Each case reports min and median over its rounds.
   on a p=300, T=20 array.
 - ``test_eigen_block_p1000``: one V-update eigen-block, ``_best_eigen_block``
   of a fresh copy of the u-weighted slice sum at p=1000, rank 3.
+- ``test_rep[p20]`` and ``[p100]``: one sweep replicate, ``_run_rep`` (draw,
+  fit and scoring) on a cell of perfbench sweep-small: T=50, r=1, d=30,
+  sigma=1, positive loadings, stable start, max_iter 200, tol 1e-8. On a
+  checkout whose ``_run_rep`` still takes ``all_iterates`` it times the
+  sweep's path there, which scores the iterates only up to the statistical one.
 
 ``test_spike_model[p1000]`` and ``test_eigen_block_p1000`` also record in
 ``extra_info`` the ``tracemalloc`` peak of one untimed call
@@ -31,6 +36,7 @@ the fit is. On a checkout without ``simulate._recon_error`` or
 functions replaced, so one copy of this file compares the two.
 """
 
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -39,7 +45,7 @@ import pytest
 from sstpca.decompose import Factor, _best_eigen_block
 from sstpca.linalg import normalize
 from sstpca.ranksel import distinct_rss
-from sstpca.simulate import spike_model
+from sstpca.simulate import SweepCell, _run_rep, spike_model
 from sstpca.tensor import SemiSymTensor, frob_norm, rank1_outer, ttv3
 
 try:
@@ -57,6 +63,10 @@ except ImportError:
 
 T, R, D, SIGMA = 20, 3, 60.0, 1.0
 SEED = 20220209
+
+# max_iter and tol of a sweep rep, plus all_iterates=False where it exists.
+_REP_ARGS = (200, 1e-8) + ((False,) if "all_iterates" in inspect.signature(_run_rep).parameters
+                           else ())
 
 
 def _spike(p):
@@ -120,3 +130,11 @@ def test_eigen_block_p1000(benchmark):
     assert V.shape == (1000, R)
     benchmark.extra_info["tracemalloc_peak_bytes"] = _traced_peak(_best_eigen_block, M.copy(), R)
     benchmark.extra_info["target_bytes"] = M.nbytes
+
+
+@pytest.mark.parametrize("p", [20, 100], ids=["p20", "p100"])
+def test_rep(benchmark, p):
+    cell = SweepCell(p, 50, 1, 30.0, SIGMA, "positive", "stable")
+    fit = benchmark.pedantic(_run_rep, args=(cell, np.random.SeedSequence(SEED), *_REP_ARGS),
+                             rounds=30)
+    assert fit.diag.converged

@@ -242,6 +242,8 @@ def _simulate_spike(cfg: SimpleNamespace, rng: np.random.Generator) -> tuple:
 
 
 def _simulate_shift(cfg: SimpleNamespace, rng: np.random.Generator) -> tuple:
+    if cfg.p < 1 or cfg.T < 1:
+        raise InvalidParameter(f"need p >= 1 and T >= 1, got p={cfg.p}, T={cfg.T}")
     tau = cfg.tau if cfg.tau is not None else cfg.T // 2
     if not 1 <= tau <= cfg.T - 1:
         raise InvalidParameter(f"--tau must lie in 1..T-1 = 1..{cfg.T - 1}, got {tau}")
@@ -279,7 +281,7 @@ def _simulate_fig3(cfg: SimpleNamespace) -> dict:
              for r in cfg.r_list]
     master = np.random.SeedSequence(cfg.seed)
     fits = _run_reps([(cell, child) for cell in cells for child in master.spawn(cfg.seeds)],
-                     cfg.max_iter, cfg.tol, resolve_threads(), all_iterates=True)
+                     cfg.max_iter, cfg.tol, resolve_threads())
     rows = []
     summary = {}
     for i, cell in enumerate(cells):
@@ -292,7 +294,7 @@ def _simulate_fig3(cfg: SimpleNamespace) -> dict:
             "d": cell.d,
             "frac_stat_by_8": sum(f.stat_iteration <= 8 for f in group) / cfg.seeds,
             "frac_comp_ge_15": sum(f.diag.iterations >= 15 for f in group) / cfg.seeds,
-            "mean_final_armse": np.mean([f.armse for f in group]),
+            "mean_final_armse": np.mean([f.armses[-1] for f in group]),
         }
     write_csv(cfg.csv_out, ["r", "seed", "iteration", "objective", "armse", "u_err"], rows)
     return {"per_rank": summary, "trace_csv": cfg.csv_out, "seeds": cfg.seeds}

@@ -23,7 +23,7 @@ from .errors import (
     SingularSmoother,
     ZeroVector,
 )
-from .linalg import eigen_block, normalize, sin_theta_frob, sym
+from .linalg import ZERO_NORM_TOL, eigen_block, normalize, sin_theta_frob, sym
 from .tensor import SemiSymTensor, frob_norm, rank1_outer, trace_product, ttv3
 
 DEGENERATE_OPNORM_TOL = 1e-14
@@ -155,7 +155,7 @@ def _loading(x: np.ndarray, S: "np.ndarray | None") -> np.ndarray:
     """x / ||x||, or under a smoother S the solution of S y = x scaled to y' S y = 1."""
     if S is None:
         return normalize(x)
-    if float(np.linalg.norm(x)) < 1e-14:
+    if float(np.linalg.norm(x)) < ZERO_NORM_TOL:
         raise ZeroVector("trace-product is numerically zero")
     try:
         y = np.linalg.solve(S, x)

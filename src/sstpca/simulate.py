@@ -241,9 +241,8 @@ def _stat_iteration(armses, armse_final: float) -> int:
     """First iterate (1-based) whose aligned error reaches within 5% of the final one.
 
     `armses` are the iterates' aligned errors in order, ending with the fitted
-    basis's, so one qualifies; a generator is read only up to it. One-sided: an
-    early iterate temporarily better than the converged error already has
-    final-level statistical accuracy.
+    basis's, so one qualifies. One-sided: an early iterate temporarily better
+    than the converged error already has final-level statistical accuracy.
     """
     for k, a in enumerate(armses):
         if a <= 1.05 * armse_final + 1e-15:
@@ -273,16 +272,13 @@ class _RepFit:
     """
 
     diag: FitDiagnostics  # without u_trace and V_trace
-    armses: list  # aligned error of each iterate, with all_iterates only
-    u_errs: list  # sign-aligned u error of each iterate over sqrt(T), likewise
-    armse: float  # of the fitted basis
+    armses: list  # aligned error of each iterate; the last is the fitted basis's
+    u_errs: list  # sign-aligned u error of each iterate over sqrt(T); the last is the fit's
     stat_iteration: int
-    u_err: float
     recon_err: float
 
 
-def _run_rep(cell: SweepCell, seed_seq, max_iter: int, tol: float,
-             all_iterates: bool) -> _RepFit:
+def _run_rep(cell: SweepCell, seed_seq, max_iter: int, tol: float) -> _RepFit:
     rng = np.random.default_rng(seed_seq)
     X, truth = spike_model(cell.p, cell.T, cell.r, cell.d, cell.sigma, cell.u_mode, rng)
     if cell.init == "oracle":
@@ -295,30 +291,20 @@ def _run_rep(cell: SweepCell, seed_seq, max_iter: int, tol: float,
         raise InvalidParameter(f"unknown init scheme {cell.init!r}")
     opts = FitOptions(rank=cell.r, max_iter=max_iter, tol=tol, init=init)
     factor, diag = fit_single_factor(X, opts)
-    _, armse = procrustes_aligned_rmse(factor.V, truth.V_star)
-    errors = (procrustes_aligned_rmse(V, truth.V_star)[1] for V in diag.V_trace)
-    armses, u_errs = [], []
-    if all_iterates:
-        armses = list(errors)
-        u_errs = [float(sign_aligned_error(u, truth.u_star) / np.sqrt(cell.T))
-                  for u in diag.u_trace]
-    # Otherwise _stat_iteration scores the iterates only up to the statistical one.
-    stat_iteration = _stat_iteration(armses if all_iterates else errors, armse)
-    return _RepFit(replace(diag, u_trace=[], V_trace=[]), armses, u_errs, armse, stat_iteration,
-                   sign_aligned_error(factor.u, truth.u_star) / np.sqrt(cell.T),
-                   _recon_error(factor, truth))
+    armses = [procrustes_aligned_rmse(V, truth.V_star)[1] for V in diag.V_trace]
+    u_errs = [float(sign_aligned_error(u, truth.u_star) / np.sqrt(cell.T)) for u in diag.u_trace]
+    return _RepFit(replace(diag, u_trace=[], V_trace=[]), armses, u_errs,
+                   _stat_iteration(armses, armses[-1]), _recon_error(factor, truth))
 
 
-def _run_reps(reps, max_iter: int = 200, tol: float = 1e-8, n_threads: int = 1,
-              all_iterates: bool = False) -> list:
+def _run_reps(reps, max_iter: int = 200, tol: float = 1e-8, n_threads: int = 1) -> list:
     """`_RepFit` of each seeded rep, a (SweepCell, SeedSequence) pair, in order.
 
     A rep draws its instance from `spike_model`, then any random start, from
     its own generator. All reps go through one `ordered_map` call, which
     silences fit warnings and sets the BLAS threads (see `_parallel`).
     """
-    return ordered_map(lambda rep: _run_rep(*rep, max_iter, tol, all_iterates),
-                       reps, n_threads)
+    return ordered_map(lambda rep: _run_rep(*rep, max_iter, tol), reps, n_threads)
 
 
 # (metric, mean field, SD field or None) in rate_sweep's column order.
@@ -337,7 +323,6 @@ def rate_sweep(
     reps: int,
     seed: int,
     max_iter: int = 200,
-    tol: float = 1e-8,
     n_threads: int = 1,
 ) -> list:
     """Mean and SD of recovery errors for every grid cell.
@@ -354,11 +339,12 @@ def rate_sweep(
             raise InvalidParameter(f"signal strength d must be positive, got d={cell.d}")
     cell_seeds = np.random.SeedSequence(seed).spawn(len(cells))
     fits = _run_reps([(cell, rep_seed) for cell, cell_seed in zip(cells, cell_seeds)
-                      for rep_seed in cell_seed.spawn(reps)], max_iter, tol, n_threads)
+                      for rep_seed in cell_seed.spawn(reps)], max_iter, n_threads=n_threads)
     results = []
     for i, cell in enumerate(cells):
-        arr = np.asarray([(f.u_err, f.armse, f.recon_err, f.stat_iteration, f.diag.iterations,
-                           float(f.diag.converged)) for f in fits[i * reps:(i + 1) * reps]])
+        arr = np.asarray([(f.u_errs[-1], f.armses[-1], f.recon_err, f.stat_iteration,
+                           f.diag.iterations, float(f.diag.converged))
+                          for f in fits[i * reps:(i + 1) * reps]])
         stats = {}
         for k, (_, mean_attr, sd_attr) in enumerate(_SWEEP_METRICS):
             stats[mean_attr] = float(arr[:, k].mean())

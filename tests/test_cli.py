@@ -112,6 +112,21 @@ def test_exit_code_contract(tmp_path, runner, spike_csv, shift_csv, args, code):
 
 
 @pytest.mark.parametrize(
+    "flag, value, name",
+    [("--t", "0", "T"), ("--t", "-3", "T"), ("--p", "0", "p")],
+    ids=["shift-t-0", "shift-t-neg", "shift-p-0"],
+)
+def test_shift_size_error_names_the_value(tmp_path, runner, flag, value, name):
+    out = tmp_path / "out.json"
+    result = runner.invoke(main, ["simulate", "--preset", "shift", flag, value,
+                                  "--output", str(out)], catch_exceptions=False)
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: need p >= 1 and T >= 1, got ")
+    assert f"{name}={value}" in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "flag, env",
     [([], "abc"), ([], "0"), (["--threads", "0"], None), (["--threads", "-3"], None)],
     ids=["env-abc", "env-0", "flag-0", "flag-neg"],

@@ -13,7 +13,12 @@ from sstpca.errors import (
     InvalidProbability,
     NonFiniteEntry,
 )
-from sstpca.linalg import random_stiefel, random_unit, sign_aligned_error
+from sstpca.linalg import (
+    procrustes_aligned_rmse,
+    random_stiefel,
+    random_unit,
+    sign_aligned_error,
+)
 from sstpca.simulate import (
     SpikeTruth,
     SweepCell,
@@ -415,6 +420,24 @@ class TestAdversarial:
             worst = max(worst, sign_aligned_error(f.u, truth.u_star))
         # bounded well away from a random vector, not a specific value
         assert worst < 0.5
+
+
+def test_rep_record_scores_every_iterate():
+    """One record serves the sweep and fig3: every iterate's errors, the last
+    of them the fitted factor's, bit for bit a fit redone from the rep's seed."""
+    cell = SweepCell(p=8, T=6, r=2, d=8.0, sigma=0.5, u_mode="positive", init="positive")
+    seeds = np.random.SeedSequence(19).spawn(3)
+    fits = simulate._run_reps([(cell, seed_seq) for seed_seq in seeds])
+    for fit, seed_seq in zip(fits, seeds):
+        assert len(fit.armses) == len(fit.u_errs) == fit.diag.iterations
+        assert fit.stat_iteration == simulate._stat_iteration(fit.armses, fit.armses[-1])
+        rng = np.random.default_rng(seed_seq)
+        X, truth = spike_model(cell.p, cell.T, cell.r, cell.d, cell.sigma, cell.u_mode, rng)
+        init = random_unit(cell.T, rng, positive=True)
+        factor, diag = fit_single_factor(X, FitOptions(rank=cell.r, init=init))
+        assert fit.armses == [procrustes_aligned_rmse(V, truth.V_star)[1] for V in diag.V_trace]
+        assert fit.armses[-1] == procrustes_aligned_rmse(factor.V, truth.V_star)[1]
+        assert fit.u_errs[-1] == sign_aligned_error(factor.u, truth.u_star) / np.sqrt(cell.T)
 
 
 class TestRateSweep:
