@@ -87,6 +87,13 @@ MATRIX = [
       for preset in ("spike", "shift")],
     ("error-shift-t-0", ["simulate", "--preset", "shift", "--t", "0"], []),
     ("error-shift-p-0", ["simulate", "--preset", "shift", "--p", "0"], []),
+    ("error-rank-too-large", ["decompose", "--input", "{dir}/spike.csv", "--ranks", "31"], []),
+    # An all-zero input: the fits exit 2, rank-select lists its failed candidates.
+    ("zero", ["simulate", "--preset", "spike", "--d", "0", "--sigma", "0",
+              "--data-out", "{dir}/zero.csv"], ["zero.csv"]),
+    ("error-decompose-zero", ["decompose", "--input", "{dir}/zero.csv"], []),
+    ("error-changepoint-zero", ["changepoint", "--input", "{dir}/zero.csv"], []),
+    ("rank-select-zero", ["rank-select", "--input", "{dir}/zero.csv"], []),
 ]
 
 # Environment variables a matrix job sets on both trees, by job name.

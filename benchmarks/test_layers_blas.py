@@ -21,31 +21,8 @@ import time
 import numpy as np
 import pytest
 
-from sstpca._parallel import _openblas_controls
-
 SEED = 20220209
 ROUNDS = {100: 100, 300: 40, 500: 20, 1000: 10}
-SETTLE_S = 0.5
-
-
-@pytest.fixture()
-def blas_threads(request):
-    """Set every loaded OpenBLAS to request.param threads for one case."""
-    controls = _openblas_controls()
-    if not controls:
-        pytest.skip("no OpenBLAS thread control found")
-    saved = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(request.param)
-    # After a threaded call OpenBLAS helper threads spin for about 0.1 s of
-    # CPU; let those of the previous case stop before this one is timed.
-    time.sleep(SETTLE_S)
-    try:
-        assert [get() for get, _ in controls] == [request.param] * len(controls)
-        yield request.param
-    finally:
-        for (_, set_), n in zip(controls, saved):
-            set_(n)
 
 
 @pytest.mark.parametrize("blas_threads", [1, 2], ids=["1blas", "2blas"], indirect=True)

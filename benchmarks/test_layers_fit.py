@@ -18,7 +18,16 @@ T=20, on a spiked tensor (r=3, d=60, sigma=1, sphere loadings):
 ``test_small_fit`` times a whole ``fit_single_factor`` at each of perfbench
 sweep-small's p values (20, 60, 100), T=50, rank 1, d=30, sigma=1, positive
 loadings, stable start; at these p the fit holds OpenBLAS at one thread.
+``test_small_fit_2blas`` times the same fits with every loaded OpenBLAS set to
+2 threads (the ``blas_threads`` fixture of ``conftest.py``, restored after the
+case), as a process started with OPENBLAS_NUM_THREADS=2 runs them outside any
+enclosing hold. Its ``extra_info`` adds the process CPU time of each call
+(``cpu_min_s``, ``cpu_median_s``), which also counts the BLAS helper threads,
+so it shows any BLAS call a fit makes before its one-thread hold.
 """
+
+import statistics
+import time
 
 import numpy as np
 import pytest
@@ -72,4 +81,31 @@ def test_convergence_check(benchmark, spiked):
 def test_small_fit(benchmark, p):
     X, _ = spike_model(p, 50, 1, 30.0, SIGMA, "positive", np.random.default_rng(SEED))
     _, diag = benchmark.pedantic(fit_single_factor, args=(X, FitOptions()), rounds=30)
+    assert diag.converged
+
+
+@pytest.fixture(scope="module", params=[20, 60, 100])
+def small_spike(request):
+    """test_small_fit's instance at p. Module-scoped, so it is drawn before
+    `blas_threads` sets the count and lets the draw's helper threads stop."""
+    X, _ = spike_model(request.param, 50, 1, 30.0, SIGMA, "positive",
+                       np.random.default_rng(SEED))
+    return X
+
+
+@pytest.mark.parametrize("blas_threads", [2], ids=["2blas"], indirect=True)
+def test_small_fit_2blas(benchmark, small_spike, blas_threads):
+    X = small_spike
+    cpu = []
+
+    def fit():
+        start = time.process_time()
+        out = fit_single_factor(X, FitOptions())
+        cpu.append(time.process_time() - start)
+        return out
+
+    _, diag = benchmark.pedantic(fit, rounds=30, warmup_rounds=1)
+    if len(cpu) > 1:  # drop the warm-up call; --benchmark-disable makes none
+        cpu = cpu[1:]
+    benchmark.extra_info.update(cpu_min_s=min(cpu), cpu_median_s=statistics.median(cpu))
     assert diag.converged

@@ -15,17 +15,19 @@ Outside a pool, `_blas_hold_for(p)` sets the thread policy of a fit on a
 p-node network: at p <= ONE_BLAS_THREAD_MAX_P (500) the fit runs under the
 same one-thread hold, so it gives the bits of a one-BLAS-thread run at any
 OPENBLAS_NUM_THREADS; above 500 it keeps the process's BLAS threads, whose
-count can change the last digits. `fit_single_factor` enters it,
-`cli.simulate` enters it while it draws a spike or shift instance, and
-`fit_multi` and `rank_select_bic` enter it once around their whole fit loop:
-after each release the next threaded BLAS call wakes the OpenBLAS helper
-threads, which then spin for about 0.1 s of CPU.
+count can change the last digits. `fit_single_factor` enters it before its
+first BLAS call, `cli.simulate` while it draws an instance,
+`detect_changepoint` from its CUSUM tensor on, and `fit_multi` and
+`rank_select_bic` once around their fit loop: after each release the next
+threaded BLAS call wakes the OpenBLAS helper threads, which then spin for
+about 0.1 s of CPU.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import os
 import threading
 import warnings
@@ -61,17 +63,19 @@ _OPENBLAS_SYMBOLS = [
 ]
 
 
-def _openblas_controls() -> list:
+@functools.cache
+def _openblas_controls() -> tuple:
     """(get, set) thread-count functions of every OpenBLAS loaded in this process.
 
-    Libraries are found by file name in /proc/self/maps, so this is empty
-    where that file does not exist or the BLAS is not OpenBLAS.
+    Found once per process, by file name in /proc/self/maps: empty where that
+    file does not exist or the BLAS is not OpenBLAS, and blind to a library
+    loaded after the first call (sstpca loads only numpy's OpenBLAS).
     """
     try:
         with open("/proc/self/maps") as fh:
             paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line}
     except OSError:
-        return []
+        return ()
     controls = []
     for path in sorted(paths):
         if "openblas" not in os.path.basename(path):
@@ -87,7 +91,7 @@ def _openblas_controls() -> list:
                 set_.argtypes, set_.restype = [ctypes.c_int], None
                 controls.append((get, set_))
                 break
-    return controls
+    return tuple(controls)
 
 
 class _SingleThreadedBlas:

@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._parallel import _blas_hold_for
 from .decompose import Factor, FitDiagnostics, FitOptions, fit_single_factor
 from .errors import DegenerateSeries, TooFewSlices
 from .linalg import sym
@@ -49,13 +50,15 @@ def cusum_tensor(X: SemiSymTensor) -> SemiSymTensor:
 def detect_changepoint(
     X: SemiSymTensor, r: int, opts: FitOptions = FitOptions()
 ) -> ChangepointResult:
-    """Locate the most likely single mean shift in a slice series."""
+    """Locate the most likely single mean shift in a slice series; from the
+    CUSUM tensor on, every BLAS call runs under the fit's hold (`_parallel`)."""
     if X.T < 3:
         raise TooFewSlices(f"need at least 3 slices, got T={X.T}")
-    C = cusum_tensor(X)
-    if frob_norm(C) < 1e-12 * frob_norm(X):
-        raise DegenerateSeries("cumulative-sum tensor is numerically zero")
-    factor, diag = fit_single_factor(C, replace(opts, rank=r))
+    with _blas_hold_for(X.p):
+        C = cusum_tensor(X)
+        if frob_norm(C) < 1e-12 * frob_norm(X):
+            raise DegenerateSeries("cumulative-sum tensor is numerically zero")
+        factor, diag = fit_single_factor(C, replace(opts, rank=r))
     scores = np.abs(factor.u)
     tau_hat = int(np.argmax(scores)) + 1  # argmax takes the earliest tie
     return ChangepointResult(

@@ -24,7 +24,7 @@ from .errors import (
     ZeroVector,
 )
 from .linalg import ZERO_NORM_TOL, eigen_block, normalize, sin_theta_frob, sym
-from .tensor import SemiSymTensor, frob_norm, rank1_outer, trace_product, ttv3
+from .tensor import SemiSymTensor, rank1_outer, trace_product, ttv3
 
 DEGENERATE_OPNORM_TOL = 1e-14
 
@@ -122,8 +122,10 @@ def _best_eigen_block(
 
     Consumes its target: M is symmetrized in place (the bits of `sym(M)`),
     so the only p x p array held next to the eigensolver is M itself.
-    Callers pass a fresh array.
+    Callers pass a fresh array. Raises DimensionMismatch when r > p.
     """
+    if r > M.shape[0]:
+        raise DimensionMismatch(f"rank {r} exceeds p={M.shape[0]}")
     M = sym(M, out=M)
     if max(M.max(), -M.min()) < DEGENERATE_OPNORM_TOL:
         raise DegenerateIterate("weighted slice sum is numerically zero")
@@ -145,10 +147,7 @@ def v_update(X, u: np.ndarray, r: int, eigen_scaled: bool = False):
     magnitude. In the eigen-scaled mode the columns are multiplied by
     sqrt(|lam|), dropping orthonormality.
     """
-    M = ttv3(X, u)
-    if M.shape[0] < r:
-        raise DimensionMismatch(f"rank {r} exceeds p={M.shape[0]}")
-    return _best_eigen_block(M, r, eigen_scaled)
+    return _best_eigen_block(ttv3(X, u), r, eigen_scaled)
 
 
 def _loading(x: np.ndarray, S: "np.ndarray | None") -> np.ndarray:
@@ -173,13 +172,6 @@ def u_update(X, V: np.ndarray, S: "np.ndarray | None" = None) -> np.ndarray:
     return _loading(trace_product(X, V), S)
 
 
-def _validate_options(X: SemiSymTensor, opts: FitOptions) -> None:
-    if opts.rank > X.p:
-        raise DimensionMismatch(f"rank {opts.rank} must lie in [1, {X.p}]")
-    if opts.smoother is not None and np.shape(opts.smoother) != (X.T, X.T):
-        raise DimensionMismatch(f"smoother must be {X.T} x {X.T}, got {np.shape(opts.smoother)}")
-
-
 def fit_single_factor(
     X: SemiSymTensor, opts: FitOptions, _perturb=None
 ) -> tuple[Factor, FitDiagnostics]:
@@ -199,17 +191,17 @@ def fit_single_factor(
     the steps of v_update and u_update, `_best_eigen_block` and `_loading`,
     rather than calling them; the objective uses the unperturbed trace-product.
 
-    At p <= 500 the iterations run with OpenBLAS held at one thread, so the
-    result does not depend on OPENBLAS_NUM_THREADS (see `_parallel`).
+    At p <= 500 every BLAS call of the fit runs with OpenBLAS held at one
+    thread, so the result does not depend on OPENBLAS_NUM_THREADS (`_parallel`).
     """
-    _validate_options(X, opts)
-    if frob_norm(X) == 0.0:
+    if opts.smoother is not None and np.shape(opts.smoother) != (X.T, X.T):
+        raise DimensionMismatch(f"smoother must be {X.T} x {X.T}, got {np.shape(opts.smoother)}")
+    if not np.any(X.data):
         raise DegenerateIterate("input tensor is identically zero")
-
-    u = init_u(opts.init, X.T)
 
     diag = FitDiagnostics()
     with _blas_hold_for(X.p):
+        u = init_u(opts.init, X.T)
         for k in range(opts.max_iter):
             E_V, e_u = _perturb(k) if _perturb is not None else (None, None)
 

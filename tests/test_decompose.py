@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sstpca.changepoint import detect_changepoint
 from sstpca.decompose import (
     FitOptions,
     _best_eigen_block,
@@ -11,6 +12,7 @@ from sstpca.decompose import (
     u_update,
     v_update,
 )
+from sstpca.deflate import fit_multi
 from sstpca.errors import (
     DegenerateIterate,
     DidNotConvergeWarning,
@@ -292,10 +294,17 @@ class TestFitSingleFactor:
         assert f.d >= 0
         assert float(trace_product(X, f.V) @ f.u) >= 0
 
-    def test_rank_too_large(self):
-        X = new_from_slices([np.eye(3)])
-        with pytest.raises(DimensionMismatch):
-            fit_single_factor(X, FitOptions(rank=4))
+    @pytest.mark.parametrize("fit", [
+        lambda X: v_update(X, init_u("stable", X.T), 4),
+        lambda X: fit_single_factor(X, FitOptions(rank=4)),
+        lambda X: fit_multi(X, [4]),
+        lambda X: detect_changepoint(X, 4),
+    ], ids=["v_update", "fit_single_factor", "fit_multi", "detect_changepoint"])
+    def test_rank_too_large(self, fit):
+        """The V-step owns the rank rule, so every entry point reports it alike."""
+        X = new_from_slices([np.eye(3), np.eye(3), np.diag([1.0, 2.0, 4.0])])
+        with pytest.raises(DimensionMismatch, match="rank 4 exceeds p=3"):
+            fit(X)
 
     def test_track_iterates(self):
         rng = np.random.default_rng(14)

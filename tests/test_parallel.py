@@ -12,8 +12,10 @@ from click.testing import CliRunner
 
 from sstpca import cli, decompose
 from sstpca._parallel import _blas_hold_for, _openblas_controls, ordered_map, resolve_threads
+from sstpca.changepoint import detect_changepoint
 from sstpca.cli import main
 from sstpca.errors import DegenerateIterate, DidNotConvergeWarning
+from sstpca.simulate import spike_model
 from sstpca.tensor import SemiSymTensor, ttv3
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -184,6 +186,32 @@ def test_fit_restores_blas_threads_when_it_raises(n_libs, monkeypatch):
     with pytest.raises(DegenerateIterate):
         decompose.fit_single_factor(X, decompose.FitOptions())
     assert seen == [[1] * n_libs]
+    assert blas_threads() == [2] * n_libs
+
+
+@needs_openblas
+def test_no_tensor_norm_of_a_fit_or_changepoint_runs_outside_the_hold(n_libs, monkeypatch):
+    """At p=150 every numpy.linalg.norm of a 3-way array, a p^2 T BLAS
+    reduction, runs at one OpenBLAS thread: the fit takes none, and
+    detect_changepoint takes its two CUSUM norms under its hold."""
+    seen = []
+    real_norm = np.linalg.norm
+
+    def spy_norm(x, *args, **kwargs):
+        if np.ndim(x) == 3:
+            seen.append(tuple(blas_threads()))
+        return real_norm(x, *args, **kwargs)
+
+    X, _ = spike_model(150, 20, 1, 30.0, 1.0, "positive", np.random.default_rng(3))
+    monkeypatch.setattr(np.linalg, "norm", spy_norm)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DidNotConvergeWarning)
+        decompose.fit_single_factor(X, decompose.FitOptions(max_iter=5))
+        fit_seen = seen.copy()
+        seen.clear()
+        detect_changepoint(X, 1, decompose.FitOptions(max_iter=5))
+    assert all(rec == (1,) * n_libs for rec in fit_seen), fit_seen
+    assert seen and all(rec == (1,) * n_libs for rec in seen), seen
     assert blas_threads() == [2] * n_libs
 
 
