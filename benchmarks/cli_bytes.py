@@ -88,6 +88,13 @@ MATRIX = [
     ("error-shift-t-0", ["simulate", "--preset", "shift", "--t", "0"], []),
     ("error-shift-p-0", ["simulate", "--preset", "shift", "--p", "0"], []),
     ("error-rank-too-large", ["decompose", "--input", "{dir}/spike.csv", "--ranks", "31"], []),
+    # d or sigma so large that the instance overflows: exit 2 and no data file.
+    ("error-spike-overflow", ["simulate", "--preset", "spike", "--p", "2", "--t", "3", "--r", "2",
+                              "--d", "1.5e308", "--sigma", "0",
+                              "--data-out", "{dir}/spike-overflow.csv"], ["spike-overflow.csv"]),
+    ("error-shift-overflow", ["simulate", "--preset", "shift", "--p", "3", "--t", "4",
+                              "--sigma", "1e308", "--data-out", "{dir}/shift-overflow.csv"],
+     ["shift-overflow.csv"]),
     # An all-zero input: the fits exit 2, rank-select lists its failed candidates.
     ("zero", ["simulate", "--preset", "spike", "--d", "0", "--sigma", "0",
               "--data-out", "{dir}/zero.csv"], ["zero.csv"]),

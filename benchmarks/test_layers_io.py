@@ -1,10 +1,4 @@
-"""Layer micro-benchmarks: long-csv reading and writing, projection deflation.
-
-They sit outside the test suite's ``testpaths``; run them with a pinned BLAS
-thread count, for example
-
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest benchmarks \
-        --benchmark-json bench.json
+"""Layer micro-benchmarks: long-csv reading and writing.
 
 Each case reports min and median over its rounds. The input is p=300, T=20:
 every pair i <= j once per slice (903,000 rows), shuffled, with off-diagonal
@@ -12,19 +6,16 @@ pairs written as i,j or j,i at random. The long-csv read also records its
 tracemalloc peak, from one separate untimed call, in extra_info.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from sstpca.decompose import Factor
-from sstpca.deflate import deflate
 from sstpca.fileio import load_tensor, write_long_csv
-from sstpca.linalg import random_stiefel, random_unit, sym
+from sstpca.linalg import sym
 from sstpca.tensor import SemiSymTensor
 
-P, T, R = 300, 20, 3
-SEED = 20220209
+from conftest import SEED, T, traced_peak
+
+P = 300
 
 
 @pytest.fixture(scope="module")
@@ -57,22 +48,10 @@ def long_csv(tmp_path_factory, tensor):
 def test_load_tensor_long_csv(benchmark, long_csv, tensor):
     X = benchmark.pedantic(load_tensor, args=(long_csv, "long-csv"), rounds=5)
     assert np.array_equal(X.data, tensor.data)
-    tracemalloc.start()  # one more call, untimed: tracing slows allocation
-    try:
-        load_tensor(long_csv, "long-csv")
-        benchmark.extra_info["tracemalloc_peak_bytes"] = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    benchmark.extra_info["tracemalloc_peak_bytes"] = traced_peak(load_tensor, long_csv, "long-csv")
 
 
 def test_write_long_csv(benchmark, tensor, tmp_path):
     path = tmp_path / "out.csv"
     benchmark.pedantic(write_long_csv, args=(tensor, path), rounds=5)
     assert path.stat().st_size > 0
-
-
-def test_deflate_projection(benchmark, tensor):
-    rng = np.random.default_rng(SEED + 2)
-    f = Factor(u=random_unit(T, rng), V=random_stiefel(P, R, rng), d=1.0)
-    Y = benchmark.pedantic(deflate, args=(tensor, f, "projection"), rounds=10)
-    assert Y.shape == tensor.shape

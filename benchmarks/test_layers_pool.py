@@ -1,13 +1,10 @@
 """Layer micro-benchmarks: the Monte Carlo engine's worker pool and p=100 eigh.
 
-Run with a pinned BLAS thread count above 1, for example
-
-    OPENBLAS_NUM_THREADS=2 PYTHONPATH=src python -m pytest \
-        benchmarks/test_layers_pool.py --benchmark-json bench.json
-
-At OPENBLAS_NUM_THREADS=1 pool workers and BLAS never compete for cores, so
-these cases show no difference between BLAS held at one thread inside the
-pool and BLAS left alone. Each case reports min and median over its rounds.
+Each case reports min and median over its rounds, at one OpenBLAS thread
+like every case without ``2blas`` in its id: pooled fits hold BLAS at one
+thread anyway (``_parallel``), so these cases time what the pool gains on
+one-thread work. How pool workers compete with BLAS threads shows end to
+end, in perfbench's sweep-small.
 
 - ``test_rate_sweep_pool``: the grid of the benchmark command's sweep-small
   workload (p in {20, 60, 100}, T=50, d in {30, 60}, positive loadings) with
@@ -18,14 +15,12 @@ pool and BLAS left alone. Each case reports min and median over its rounds.
 - ``test_engine_criterion_4_reps[serial]`` and ``[pool]``: one
   ``simulate._run_reps`` call on 8 of acceptance criterion 4's reps (p=200,
   T=20, the first 4 seeds of each rank 1 and 5, ``max_iter=1000``), on 1 and
-  on 2 workers. Run this one at OPENBLAS_NUM_THREADS=1: it measures what the
-  pool gains on one-thread fits, as criterion 4 runs them.
+  on 2 workers.
 - ``test_rank_select_p300[serial]`` and ``[pool]``: one ``rank_select_bic``
   call (r_max 4, K_max 3) on a p=300, T=20 shift instance like the
   files-p300 workload's (d=60, rank 3, the mean shifts after slice 12,
   sigma 1), with SSTPCA_THREADS at 1 and at 2, so each step's four candidate
-  fits run one at a time or two at a time. Run it at OPENBLAS_NUM_THREADS=1
-  too; at p=300 the fits hold BLAS at one thread anyway.
+  fits run one at a time or two at a time.
 """
 
 import warnings
@@ -39,7 +34,8 @@ from sstpca.ranksel import rank_select_bic
 from sstpca.simulate import SweepCell, _run_reps, goe_noise, rate_sweep
 from sstpca.tensor import SemiSymTensor
 
-SEED = 20220209
+from conftest import SEED
+
 CALLS = 32
 
 

@@ -51,6 +51,7 @@ from .linalg import random_stiefel, random_unit
 from .ranksel import rank_select_bic
 from .simulate import (
     SweepCell,
+    _finite_instance,
     _run_reps,
     goe_noise,
     rate_sweep,
@@ -58,7 +59,6 @@ from .simulate import (
     sweep_rows,
     write_sweep_csv,
 )
-from .tensor import SemiSymTensor
 
 # Comma-separated list options and the type of their elements.
 _LIST_CASTS = {"ranks": int, "p_list": int, "r_list": int, "d_list": float}
@@ -257,7 +257,7 @@ def _simulate_shift(cfg: SimpleNamespace, rng: np.random.Generator) -> tuple:
     noise[:, :, :tau] += M1[:, :, None]
     noise[:, :, tau:] += M2[:, :, None]
     # GOE noise plus d VV' (bit-symmetric from numpy's A @ A.T) is exactly symmetric.
-    return SemiSymTensor._trusted(noise), {
+    return _finite_instance(noise), {
         "d": cfg.d,
         "sigma": cfg.sigma,
         "tau_star": tau,

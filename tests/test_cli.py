@@ -372,6 +372,20 @@ class TestSimulateCommand:
         assert result.stderr.startswith("error: r=0 must be at least 1")
         assert not out.exists() and not data.exists()
 
+    @pytest.mark.parametrize("preset, args", [
+        ("spike", ["--p", "2", "--t", "3", "--r", "2", "--d", "1.5e308", "--sigma", "0"]),
+        ("spike", ["--p", "3", "--t", "4", "--sigma", "1e308"]),
+        ("shift", ["--p", "3", "--t", "4", "--sigma", "1e308"]),
+    ], ids=["spike-d", "spike-sigma", "shift-sigma"])
+    def test_overflowing_instance_is_input_error(self, tmp_path, runner, preset, args):
+        out, data = tmp_path / "sim.json", tmp_path / "sim.csv"
+        result = runner.invoke(main, [
+            "simulate", "--preset", preset, *args, "--data-out", str(data), "--output", str(out),
+        ], catch_exceptions=False)
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: simulated instance contains NaN or infinite")
+        assert not out.exists() and not data.exists()
+
     def test_spike_at_one_slice_writes_strict_json(self, tmp_path, runner):
         out = tmp_path / "spike.json"
         run_ok(runner, ["simulate", "--preset", "spike", "--p", "6", "--t", "1",

@@ -31,7 +31,7 @@ from sstpca.linalg import (
     subspace_angle,
     sym,
 )
-from sstpca.simulate import goe_noise, spike_model
+from sstpca.simulate import fit_adversarial, goe_noise, spike_model
 from sstpca.tensor import SemiSymTensor, new_from_slices, rank1_outer, trace_product
 
 
@@ -210,6 +210,24 @@ class TestFitSingleFactor:
         X = new_from_slices([np.zeros((4, 4))] * 3)
         with pytest.raises(DegenerateIterate):
             fit_single_factor(X, FitOptions(rank=1))
+
+    def test_zero_loading_target_degenerate(self):
+        # At rank r = p every trace V' X_t V is tr X_t, here 0.
+        X = SemiSymTensor(np.repeat(np.diag([1.0, -1.0])[:, :, None], 3, 2))
+        with pytest.raises(DegenerateIterate,
+                           match="loading update target is numerically zero") as info:
+            fit_single_factor(X, FitOptions(rank=2))
+        assert isinstance(info.value.__cause__, ZeroVector)
+
+    def test_negative_objective_flips_the_sign(self):
+        # The adversary pushes the u target to -5 in every slice, so the
+        # objective is negative and the fit returns -u with d = -objective.
+        X, _ = spike_model(6, 4, 1, 3.0, 0.0, "positive", np.random.default_rng(1))
+        f, diag = fit_adversarial(X, FitOptions(max_iter=5), 10.0,
+                                  lambda k: (np.zeros((6, 6)), np.full(4, -5.0)))
+        assert diag.objective[-1] < 0
+        assert f.d == -diag.objective[-1]
+        assert np.array_equal(f.u, -diag.u_trace[-1])
 
     def test_fixed_point_in_one_iteration(self):
         rng = np.random.default_rng(7)

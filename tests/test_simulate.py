@@ -123,10 +123,12 @@ NAN, INF = float("nan"), float("inf")
     (lambda rng: spike_model(5, 0, 1, 2.0, 1.0, "sphere", rng), InvalidParameter),
     (lambda rng: spike_model(5, -1, 1, 2.0, 1.0, "sphere", rng), InvalidParameter),
     (lambda rng: rate_sweep([SweepCell(6, 4, 1, 0.0, 1.0)], reps=1, seed=0), InvalidParameter),
+    (lambda rng: spike_model(2, 3, 2, 1.5e308, 0.0, "sphere", rng), NonFiniteEntry),
+    (lambda rng: spike_model(3, 4, 1, 3.0, 1e308, "sphere", rng), NonFiniteEntry),
 ], ids=["tol", "spike-d", "spike-sigma", "goe-sigma-neg", "rank1-d", "adversarial-budget",
         "dirichlet-alpha", "spike-d-inf", "spike-sigma-inf", "goe-sigma-inf", "rank1-d-inf",
         "rank1-V-nan", "rank1-overflow", "spike-p-0", "spike-T-0", "spike-T-neg",
-        "sweep-d-0"])
+        "sweep-d-0", "spike-overflow-d", "spike-overflow-sigma"])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_nan_and_negative_model_values_rejected(call, error):
     with pytest.raises(error):
