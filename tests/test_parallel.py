@@ -1,4 +1,3 @@
-import json
 import os
 import subprocess
 import sys
@@ -119,49 +118,6 @@ def test_pool_swallows_warnings_and_restores_filters(n_threads, fail_at):
     assert caught == []
 
 
-def _benchmark_results(tmp_path, blas_threads_env: str, workers: str) -> dict:
-    out = tmp_path / f"blas{blas_threads_env}-workers{workers}.json"
-    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": blas_threads_env}
-    env.pop("SSTPCA_THREADS", None)
-    subprocess.run(
-        [sys.executable, "-m", "sstpca.cli", "benchmark", "--p-list", "100", "--t", "50",
-         "--d-list", "30", "--u-mode", "positive", "--reps", "8", "--seed", "0",
-         "--threads", workers, "--output", str(out)],
-        env=env, check=True, timeout=300,
-    )
-    return json.loads(out.read_text())["results"]
-
-
-def _fig3_outputs(tmp_path, blas_threads_env: str, workers: str) -> tuple:
-    """JSON and CSV bytes of a p=100 fig3 run on SSTPCA_THREADS workers."""
-    out, trace = tmp_path / "fig3.json", tmp_path / "fig3.csv"  # the JSON echoes both paths
-    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": blas_threads_env,
-           "SSTPCA_THREADS": workers}
-    subprocess.run(
-        [sys.executable, "-m", "sstpca.cli", "simulate", "--preset", "fig3", "--p", "100",
-         "--t", "20", "--r-list", "1,3", "--seeds", "3", "--seed", "5", "--csv", str(trace),
-         "--output", str(out)],
-        env=env, check=True, timeout=300,
-    )
-    return out.read_bytes(), trace.read_bytes()
-
-
-@needs_openblas
-def test_pooled_results_equal_single_blas_thread_results(tmp_path):
-    """At p=100 OpenBLAS threads its eigensolver. Pools of 2 and 4 workers
-    run with one BLAS thread and give the bits of a one-BLAS-thread run.
-    A serial run under 2 BLAS threads gives them too, since recon_err is
-    computed in closed form instead of by a threaded dot over a dense
-    p x p x T difference, the one reduction here that changed with it.
-    fig3 runs its reps on the same pool, so 2 workers under 2 BLAS threads
-    write the JSON and CSV bytes of a serial one-BLAS-thread run."""
-    single_blas = _benchmark_results(tmp_path, "1", "1")
-    assert _benchmark_results(tmp_path, "2", "2") == single_blas
-    assert _benchmark_results(tmp_path, "2", "4") == single_blas
-    assert _benchmark_results(tmp_path, "2", "1") == single_blas
-    assert _fig3_outputs(tmp_path, "2", "2") == _fig3_outputs(tmp_path, "1", "1")
-
-
 @needs_openblas
 @pytest.mark.parametrize("p, held", [(500, True), (501, False)], ids=["p500", "p501"])
 def test_fit_policy_holds_blas_at_one_thread_up_to_p500(n_libs, p, held):
@@ -215,31 +171,6 @@ def test_no_tensor_norm_of_a_fit_or_changepoint_runs_outside_the_hold(n_libs, mo
     assert blas_threads() == [2] * n_libs
 
 
-def _cli_outputs(tmp_path, data, blas_threads_env: str) -> dict:
-    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": blas_threads_env}
-    outputs = {}
-    for command, args in [("decompose", ["--ranks", "2,2", "--scheme", "projection"]),
-                          ("changepoint", ["--rank", "2"]),
-                          ("rank-select", ["--r-max", "3", "--k-max", "2"])]:
-        out = tmp_path / f"{command}.json"  # one path for both runs: the JSON echoes it
-        subprocess.run([sys.executable, "-m", "sstpca.cli", command, "--input", str(data), *args,
-                        "--output", str(out)], env=env, check=True, timeout=300)
-        outputs[command] = out.read_bytes()
-    return outputs
-
-
-@needs_openblas
-def test_fits_up_to_p500_give_the_same_bytes_at_any_blas_thread_count(tmp_path):
-    """At p=150 OpenBLAS threads eigh, and without the fit policy's hold the
-    JSON of these commands differs in the last digits between 1 and 2 threads."""
-    data = tmp_path / "shift.csv"
-    result = CliRunner().invoke(main, [
-        "simulate", "--preset", "shift", "--p", "150", "--t", "20", "--r", "2", "--d", "40",
-        "--seed", "7", "--data-out", str(data), "--output", str(tmp_path / "truth.json")])
-    assert result.exit_code == 0, result.output
-    assert _cli_outputs(tmp_path, data, "2") == _cli_outputs(tmp_path, data, "1")
-
-
 @needs_openblas
 @pytest.mark.parametrize("p, held", [(300, True), (501, False)], ids=["p300", "p501"])
 @pytest.mark.parametrize("preset, name", [("shift", "detection_snr"), ("spike", "spike_model")])
@@ -263,52 +194,106 @@ def test_simulate_instance_runs_under_the_fit_policy(n_libs, monkeypatch, tmp_pa
     assert blas_threads() == [2] * n_libs
 
 
-def _simulate_outputs(tmp_path, blas_threads_env: str) -> dict:
-    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": blas_threads_env}
-    outputs = {}
-    for preset in ("shift", "spike"):
-        out, data = tmp_path / f"{preset}.json", tmp_path / f"{preset}.csv"  # echoed in the JSON
-        subprocess.run([sys.executable, "-m", "sstpca.cli", "simulate", "--preset", preset,
-                        "--p", "150", "--t", "20", "--r", "2", "--d", "40", "--seed", "7",
-                        "--data-out", str(data), "--output", str(out)],
-                       env=env, check=True, timeout=300)
-        outputs[preset] = (out.read_bytes(), data.read_bytes())
-    return outputs
-
-
-@needs_openblas
-def test_simulate_instances_give_the_same_bytes_at_any_blas_thread_count(tmp_path):
-    assert _simulate_outputs(tmp_path, "2") == _simulate_outputs(tmp_path, "1")
-
-
 def test_worker_count_defaults_to_usable_cores(monkeypatch):
     monkeypatch.delenv("SSTPCA_THREADS", raising=False)
     assert resolve_threads() == len(os.sched_getaffinity(0))
 
 
-def _rank_select_output(tmp_path, data, blas_threads_env: str, workers: "str | None") -> bytes:
-    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": blas_threads_env}
+# Byte checks: each job is one `python -m sstpca.cli` argument list, at p=150.
+# This OpenBLAS gives eigh the same bits at 1 and 2 threads at p=100 and
+# different bits at p=150, so only from p=150 on can a check see a missing
+# hold. Paths under {dir} are the job's own files, which each run overwrites,
+# so every run of a job echoes the same paths into its JSON.
+INSTANCE_150 = "--p 150 --t 20 --r 2 --d 40 --seed 7"
+JOBS = {
+    "benchmark": "benchmark --p-list 150 --t 50 --d-list 30 --u-mode positive --reps 4 --seed 0"
+                 " --output {dir}/benchmark.json",
+    "fig3": "simulate --preset fig3 --p 150 --t 20 --r-list 1,3 --seeds 2 --seed 5"
+            " --csv {dir}/fig3.csv --output {dir}/fig3.json",
+    "decompose": "decompose --input {dir}/shift.csv --ranks 2,2 --scheme projection"
+                 " --output {dir}/decompose.json",
+    "changepoint": "changepoint --input {dir}/shift.csv --rank 2 --output {dir}/changepoint.json",
+    "rank-select": "rank-select --input {dir}/shift.csv --r-max 3 --k-max 2"
+                   " --output {dir}/rank-select.json",
+    "shift": f"simulate --preset shift {INSTANCE_150} --data-out {{dir}}/shift-data.csv"
+             " --output {dir}/shift.json",
+    "spike": f"simulate --preset spike {INSTANCE_150} --data-out {{dir}}/spike-data.csv"
+             " --output {dir}/spike.json",
+}
+_OUTPUT_FLAGS = ("--output", "--csv", "--data-out")
+
+
+def _cli_bytes(job: tuple, blas: str, workers: "str | None") -> tuple:
+    """Bytes of every file `job` names, from one CLI run at OPENBLAS_NUM_THREADS=blas
+    and SSTPCA_THREADS=workers (unset when None)."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": blas}
     env.pop("SSTPCA_THREADS", None)
     if workers is not None:
         env["SSTPCA_THREADS"] = workers
-    out = tmp_path / "rank-select.json"  # one path for every run: the JSON echoes it
-    subprocess.run([sys.executable, "-m", "sstpca.cli", "rank-select", "--input", str(data),
-                    "--r-max", "3", "--k-max", "2", "--output", str(out)],
-                   env=env, check=True, timeout=300)
-    return out.read_bytes()
+    subprocess.run([sys.executable, "-m", "sstpca.cli", *job], env=env, check=True, timeout=300)
+    return tuple(Path(path).read_bytes()
+                 for flag, path in zip(job, job[1:]) if flag in _OUTPUT_FLAGS)
+
+
+@pytest.fixture(scope="module")
+def cli_bytes(tmp_path_factory):
+    """`cli_bytes(name, blas, workers=None)`: `_cli_bytes` of JOBS[name], run once
+    per module for each configuration however many tests compare it. The jobs
+    share one directory, which holds the p=150 shift input that decompose,
+    changepoint and rank-select read."""
+    d = tmp_path_factory.mktemp("cli")
+    result = CliRunner().invoke(main, ["simulate", "--preset", "shift", *INSTANCE_150.split(),
+                                       "--data-out", str(d / "shift.csv"),
+                                       "--output", str(d / "truth.json")])
+    assert result.exit_code == 0, result.output
+    jobs = {name: tuple(arg.format(dir=d) for arg in args.split()) for name, args in JOBS.items()}
+    runs = {}
+
+    def run(name: str, blas: str, workers: "str | None" = None) -> tuple:
+        key = (name, blas, workers)
+        if key not in runs:
+            runs[key] = _cli_bytes(jobs[name], blas, workers)
+        return runs[key]
+
+    return run
 
 
 @needs_openblas
-def test_rank_select_gives_the_same_bytes_at_any_worker_and_blas_thread_count(tmp_path):
+def test_pooled_results_equal_single_blas_thread_results(cli_bytes):
+    """Pools of 2 and 4 workers hold BLAS at one thread and give the bits of a
+    one-BLAS-thread run; so does a serial run under 2 BLAS threads, whose fits
+    take the fit policy's hold. fig3 runs its reps on the same pool, so 2
+    workers under 2 BLAS threads write the JSON and CSV bytes of a serial
+    one-BLAS-thread run."""
+    single_blas = cli_bytes("benchmark", "1", "1")
+    for workers in ("2", "4", "1"):
+        assert cli_bytes("benchmark", "2", workers) == single_blas, workers
+    assert cli_bytes("fig3", "2", "2") == cli_bytes("fig3", "1", "1")
+
+
+@needs_openblas
+def test_fits_up_to_p500_give_the_same_bytes_at_any_blas_thread_count(cli_bytes):
+    """Without the fit policy's hold the decompose and rank-select JSON differs
+    in the last digits between 1 and 2 threads; this changepoint run does not."""
+    for command in ("decompose", "changepoint", "rank-select"):
+        assert cli_bytes(command, "2") == cli_bytes(command, "1"), command
+
+
+@needs_openblas
+def test_simulate_instances_give_the_same_bytes_at_any_blas_thread_count(cli_bytes):
+    """Their draws make no BLAS call whose bits depend on the thread count, so
+    this holds even without a hold; test_simulate_instance_runs_under_the_fit_policy
+    is the check that the draw takes it."""
+    for preset in ("shift", "spike"):
+        assert cli_bytes(preset, "2") == cli_bytes(preset, "1"), preset
+
+
+@needs_openblas
+def test_rank_select_gives_the_same_bytes_at_any_worker_and_blas_thread_count(cli_bytes):
     """rank-select fits each step's candidate ranks on SSTPCA_THREADS workers
-    (default: the usable cores); at p=150 every pairing of workers and
-    OpenBLAS threads writes the same JSON."""
-    data = tmp_path / "shift.csv"
-    result = CliRunner().invoke(main, [
-        "simulate", "--preset", "shift", "--p", "150", "--t", "20", "--r", "2", "--d", "40",
-        "--seed", "7", "--data-out", str(data), "--output", str(tmp_path / "truth.json")])
-    assert result.exit_code == 0, result.output
-    outputs = {(blas, workers): _rank_select_output(tmp_path, data, blas, workers)
+    (default: the usable cores); every pairing of workers and OpenBLAS threads
+    writes the same JSON."""
+    outputs = {(blas, workers): cli_bytes("rank-select", blas, workers)
                for blas in ("1", "2") for workers in (None, "1", "2")}
     reference = outputs["1", "1"]
     assert [key for key, out in outputs.items() if out != reference] == []
