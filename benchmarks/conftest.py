@@ -4,16 +4,22 @@ Every case pins every loaded OpenBLAS to its own thread count: one thread,
 or n where the case id says ``<n>blas``. The module-scoped inputs are drawn
 at one thread as well, so no start-up ``OPENBLAS_NUM_THREADS`` changes a
 number. The counts of the process are restored at the end of the run.
+sstpca is imported before numpy, so OpenBLAS runs under the package's idle
+policy (``OPENBLAS_THREAD_TIMEOUT``, see ``sstpca._parallel``), and the run
+stops where the loaded library reports another value.
 """
 
+import os
 import statistics
 import time
 import tracemalloc
 
+# sstpca before numpy: its idle policy must be set when numpy loads OpenBLAS.
+from sstpca._parallel import _openblas_controls, _openblas_thread_timeouts
+
 import numpy as np
 import pytest
 
-from sstpca._parallel import _openblas_controls
 from sstpca.decompose import Factor
 from sstpca.linalg import normalize
 from sstpca.simulate import spike_model
@@ -21,13 +27,17 @@ from sstpca.simulate import spike_model
 # The spiked instance of the fit, deflation and simulation layers.
 T, R, D, SIGMA = 20, 3, 60.0, 1.0
 SEED = 20220209
-SETTLE_S = 0.5
 
 
 def pytest_configure(config):
     if not _openblas_controls():
         raise pytest.UsageError("no OpenBLAS thread control found: the cases cannot pin "
                                 "their BLAS thread count")
+    policy = int(os.environ["OPENBLAS_THREAD_TIMEOUT"])
+    timeouts = _openblas_thread_timeouts()
+    if timeouts and timeouts != [policy] * len(timeouts):
+        raise pytest.UsageError(f"OpenBLAS read OPENBLAS_THREAD_TIMEOUT={timeouts}, not "
+                                f"{policy}: numpy loaded it before sstpca was imported")
 
 
 def _set_blas_threads(n):
@@ -57,10 +67,6 @@ def blas_threads(request):
         yield n
     finally:
         _set_blas_threads(1)
-        if n > 1:
-            # After a threaded call OpenBLAS helper threads spin for about
-            # 0.1 s of CPU; let them stop before the next case is timed.
-            time.sleep(SETTLE_S)
 
 
 def spike(p):

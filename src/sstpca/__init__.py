@@ -8,6 +8,9 @@ and a seeded simulation harness.
 
 __version__ = "0.1.0"
 
+# First, so that its OpenBLAS idle policy is in the environment before numpy loads.
+from . import _parallel  # noqa: F401
+
 from .baselines import hosvd, matricized_pca, truncated_matricized_pca
 from .changepoint import ChangepointResult, cusum_tensor, detect_changepoint
 from .decompose import (

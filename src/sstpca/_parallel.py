@@ -18,9 +18,18 @@ OPENBLAS_NUM_THREADS; above 500 it keeps the process's BLAS threads, whose
 count can change the last digits. `fit_single_factor` enters it before its
 first BLAS call, `cli.simulate` while it draws an instance,
 `detect_changepoint` from its CUSUM tensor on, and `fit_multi` and
-`rank_select_bic` once around their fit loop: after each release the next
-threaded BLAS call wakes the OpenBLAS helper threads, which then spin for
-about 0.1 s of CPU.
+`rank_select_bic` once around their fit loop.
+
+At import, before any sstpca module loads numpy, OPENBLAS_THREAD_TIMEOUT
+defaults to 16: after a threaded call an OpenBLAS helper thread spins for
+2^16 cycles (about 31 us at 2.1 GHz) and then sleeps, instead of the build
+default of 2^28 cycles (about 0.13 s), which outlasts the 35-45 ms from one
+p=1000 V-step to the next and burned a core through every iteration. It
+changes no result bit. On a 2-core Xeon it cut sweep-p1000's CPU time by
+18% at no measurable wall cost, and one p=1000 fit iteration at 2 BLAS
+threads took 334 ms of CPU instead of 401, in 213 ms of wall time instead
+of 202 (BENCH_24.json). A value the caller set wins, and a numpy that
+loaded OpenBLAS before sstpca was imported keeps the value it read then.
 """
 
 from __future__ import annotations
@@ -36,6 +45,10 @@ from concurrent.futures import ThreadPoolExecutor
 from .errors import InvalidParameter
 
 THREADS_ENV_VAR = "SSTPCA_THREADS"
+
+# Read by OpenBLAS when numpy loads it (see the module docstring). 2^20
+# left sweep-p1000 10% more CPU time than 2^16 (BENCH_24.json).
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "16")
 
 
 def resolve_threads(explicit: "int | None" = None) -> int:
@@ -56,16 +69,21 @@ def resolve_threads(explicit: "int | None" = None) -> int:
     return n
 
 
-_OPENBLAS_SYMBOLS = [
-    (f"{prefix}openblas_get_num_threads{suffix}", f"{prefix}openblas_set_num_threads{suffix}")
-    for prefix in ("scipy_", "")
-    for suffix in ("64_", "")
-]
+def _openblas_function(lib, name: str):
+    """`name` as `lib` exports it: plain or with the ``scipy_`` prefix of
+    numpy's wheels, with or without the ``64_`` suffix of 64-bit-int builds;
+    None where it does not."""
+    for prefix in ("scipy_", ""):
+        for suffix in ("64_", ""):
+            fn = getattr(lib, f"{prefix}{name}{suffix}", None)
+            if fn is not None:
+                return fn
+    return None
 
 
 @functools.cache
-def _openblas_controls() -> tuple:
-    """(get, set) thread-count functions of every OpenBLAS loaded in this process.
+def _openblas_libraries() -> tuple:
+    """Every OpenBLAS loaded in this process, as ctypes libraries.
 
     Found once per process, by file name in /proc/self/maps: empty where that
     file does not exist or the BLAS is not OpenBLAS, and blind to a library
@@ -76,22 +94,36 @@ def _openblas_controls() -> tuple:
             paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line}
     except OSError:
         return ()
-    controls = []
+    libs = []
     for path in sorted(paths):
         if "openblas" not in os.path.basename(path):
             continue
         try:
-            lib = ctypes.CDLL(path)
+            libs.append(ctypes.CDLL(path))
         except OSError:
             continue
-        for get_name, set_name in _OPENBLAS_SYMBOLS:
-            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
-                break
+    return tuple(libs)
+
+
+@functools.cache
+def _openblas_controls() -> tuple:
+    """(get, set) thread-count functions of every loaded OpenBLAS that has both."""
+    controls = []
+    for lib in _openblas_libraries():
+        get = _openblas_function(lib, "openblas_get_num_threads")
+        set_ = _openblas_function(lib, "openblas_set_num_threads")
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((get, set_))
     return tuple(controls)
+
+
+def _openblas_thread_timeouts() -> list:
+    """OPENBLAS_THREAD_TIMEOUT as each loaded OpenBLAS with a getter read it at
+    load, 0 where it was unset; empty where no library exports the getter."""
+    getters = (_openblas_function(lib, "openblas_thread_timeout") for lib in _openblas_libraries())
+    return [get() for get in getters if get is not None]
 
 
 class _SingleThreadedBlas:

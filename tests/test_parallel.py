@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -10,7 +11,13 @@ import pytest
 from click.testing import CliRunner
 
 from sstpca import cli, decompose
-from sstpca._parallel import _blas_hold_for, _openblas_controls, ordered_map, resolve_threads
+from sstpca._parallel import (
+    _blas_hold_for,
+    _openblas_controls,
+    _openblas_thread_timeouts,
+    ordered_map,
+    resolve_threads,
+)
 from sstpca.changepoint import detect_changepoint
 from sstpca.cli import main
 from sstpca.errors import DegenerateIterate, DidNotConvergeWarning
@@ -194,6 +201,25 @@ def test_simulate_instance_runs_under_the_fit_policy(n_libs, monkeypatch, tmp_pa
     assert blas_threads() == [2] * n_libs
 
 
+@pytest.mark.skipif(not _openblas_thread_timeouts(),
+                    reason="no OpenBLAS exports openblas_thread_timeout")
+@pytest.mark.parametrize("set_by_caller, expected", [(None, 16), ("24", 24)],
+                         ids=["default", "caller-set"])
+def test_openblas_loads_with_the_idle_policy(set_by_caller, expected):
+    """In a fresh process that imports sstpca before numpy, every loaded
+    OpenBLAS reads OPENBLAS_THREAD_TIMEOUT=16 unless the caller set a value."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    if set_by_caller is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = set_by_caller
+    code = ("import sstpca; from sstpca._parallel import _openblas_thread_timeouts; "
+            "print(_openblas_thread_timeouts())")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    timeouts = json.loads(proc.stdout)
+    assert timeouts and timeouts == [expected] * len(timeouts)
+
+
 def test_worker_count_defaults_to_usable_cores(monkeypatch):
     monkeypatch.delenv("SSTPCA_THREADS", raising=False)
     assert resolve_threads() == len(os.sched_getaffinity(0))
@@ -212,7 +238,7 @@ JOBS = {
             " --csv {dir}/fig3.csv --output {dir}/fig3.json",
     "decompose": "decompose --input {dir}/shift.csv --ranks 2,2 --scheme projection"
                  " --output {dir}/decompose.json",
-    "changepoint": "changepoint --input {dir}/shift.csv --rank 2 --output {dir}/changepoint.json",
+    "changepoint": "changepoint --input {dir}/shift.csv --rank 3 --output {dir}/changepoint.json",
     "rank-select": "rank-select --input {dir}/shift.csv --r-max 3 --k-max 2"
                    " --output {dir}/rank-select.json",
     "shift": f"simulate --preset shift {INSTANCE_150} --data-out {{dir}}/shift-data.csv"
@@ -273,8 +299,9 @@ def test_pooled_results_equal_single_blas_thread_results(cli_bytes):
 
 @needs_openblas
 def test_fits_up_to_p500_give_the_same_bytes_at_any_blas_thread_count(cli_bytes):
-    """Without the fit policy's hold the decompose and rank-select JSON differs
-    in the last digits between 1 and 2 threads; this changepoint run does not."""
+    """Without the fit policy's hold the JSON of each differs in the last
+    digits between 1 and 2 threads (a rank-2 changepoint run on this input
+    does not)."""
     for command in ("decompose", "changepoint", "rank-select"):
         assert cli_bytes(command, "2") == cli_bytes(command, "1"), command
 
