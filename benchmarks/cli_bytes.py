@@ -52,6 +52,9 @@ MATRIX = [
      ["spike.csv"]),
     ("shift", ["simulate", "--preset", "shift", *SHIFT, "--data-out", "{dir}/shift.csv"],
      ["shift.csv"]),
+    # Zero noise (the last --sigma wins): the instance is the two means, detection_snr null.
+    ("shift-sigma-0", ["simulate", "--preset", "shift", *SHIFT, "--sigma", "0",
+                       "--data-out", "{dir}/shift-sigma-0.csv"], ["shift-sigma-0.csv"]),
     ("fig3", [*FIG3, "--csv", "{dir}/fig3.csv"], ["fig3.csv"]),
     ("fig3-threads-2", [*FIG3, "--csv", "{dir}/fig3-threads-2.csv"], ["fig3-threads-2.csv"]),
     *[(f"decompose-{scheme}",

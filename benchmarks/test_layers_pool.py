@@ -17,8 +17,8 @@ end, in perfbench's sweep-small.
   T=20, the first 4 seeds of each rank 1 and 5, ``max_iter=1000``), on 1 and
   on 2 workers.
 - ``test_rank_select_p300[serial]`` and ``[pool]``: one ``rank_select_bic``
-  call (r_max 4, K_max 3) on a p=300, T=20 shift instance like the
-  files-p300 workload's (d=60, rank 3, the mean shifts after slice 12,
+  call (r_max 4, K_max 3) on a p=300, T=20 ``shift_model`` instance like
+  the files-p300 workload's (d=60, rank 3, the mean shifts after slice 12,
   sigma 1), with SSTPCA_THREADS at 1 and at 2, so each step's four candidate
   fits run one at a time or two at a time.
 """
@@ -29,10 +29,8 @@ import numpy as np
 import pytest
 
 from sstpca._parallel import ordered_map
-from sstpca.linalg import random_stiefel
 from sstpca.ranksel import rank_select_bic
-from sstpca.simulate import SweepCell, _run_reps, goe_noise, rate_sweep
-from sstpca.tensor import SemiSymTensor
+from sstpca.simulate import SweepCell, _run_reps, rate_sweep, shift_model
 
 from conftest import SEED
 
@@ -73,12 +71,7 @@ def test_engine_criterion_4_reps(benchmark, n_threads):
 
 @pytest.fixture(scope="module")
 def shift300():
-    rng = np.random.default_rng(SEED)
-    means = [60.0 * V @ V.T for V in (random_stiefel(300, 3, rng), random_stiefel(300, 3, rng))]
-    data = goe_noise(300, 20, 1.0, rng)
-    data[:, :, :12] += means[0][:, :, None]
-    data[:, :, 12:] += means[1][:, :, None]
-    return SemiSymTensor(data)
+    return shift_model(300, 20, 3, 60.0, 1.0, 12, np.random.default_rng(SEED))[0]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"], ids=["serial", "pool"])

@@ -48,6 +48,7 @@ from .simulate import (
     rate_sweep,
     rdpg_dirichlet_series,
     sbm_series,
+    shift_model,
     spike_model,
 )
 from .tensor import (

@@ -47,14 +47,14 @@ from .fileio import (
     write_json,
     write_long_csv,
 )
-from .linalg import random_stiefel, random_unit
+from .linalg import random_unit
 from .ranksel import rank_select_bic
 from .simulate import (
+    U_MODES,
     SweepCell,
-    _finite_instance,
     _run_reps,
-    goe_noise,
     rate_sweep,
+    shift_model,
     spike_model,
     sweep_rows,
     write_sweep_csv,
@@ -158,8 +158,7 @@ _FIT_OPTIONS = (
     click.option("--max-iter", default=200, type=int),
 )
 _OUTPUT = click.option("--output", required=True, type=click.Path())
-_U_MODE = click.option("--u-mode", default="sphere",
-                       type=click.Choice(["sphere", "positive", "constant"]))
+_U_MODE = click.option("--u-mode", default="sphere", type=click.Choice(U_MODES))
 
 
 @_command(
@@ -242,29 +241,12 @@ def _simulate_spike(cfg: SimpleNamespace, rng: np.random.Generator) -> tuple:
 
 
 def _simulate_shift(cfg: SimpleNamespace, rng: np.random.Generator) -> tuple:
-    if cfg.p < 1 or cfg.T < 1:
-        raise InvalidParameter(f"need p >= 1 and T >= 1, got p={cfg.p}, T={cfg.T}")
     tau = cfg.tau if cfg.tau is not None else cfg.T // 2
-    if not 1 <= tau <= cfg.T - 1:
-        raise InvalidParameter(f"--tau must lie in 1..T-1 = 1..{cfg.T - 1}, got {tau}")
-    if not np.isfinite(cfg.d):
-        raise InvalidParameter(f"--d must be finite, got {cfg.d}")
-    V1 = random_stiefel(cfg.p, cfg.r, rng)
-    V2 = random_stiefel(cfg.p, cfg.r, rng)
-    M1 = cfg.d * (V1 @ V1.T)
-    M2 = cfg.d * (V2 @ V2.T)
-    noise = goe_noise(cfg.p, cfg.T, cfg.sigma, rng)
-    noise[:, :, :tau] += M1[:, :, None]
-    noise[:, :, tau:] += M2[:, :, None]
-    # GOE noise plus d VV' (bit-symmetric from numpy's A @ A.T) is exactly symmetric.
-    return _finite_instance(noise), {
-        "d": cfg.d,
-        "sigma": cfg.sigma,
-        "tau_star": tau,
-        "detection_snr": detection_snr(M1, M2, tau, cfg.T, cfg.sigma) if cfg.sigma > 0 else None,
-        "V1": V1.ravel(order="C"),
-        "V2": V2.ravel(order="C"),
-    }
+    X, V1, V2 = shift_model(cfg.p, cfg.T, cfg.r, cfg.d, cfg.sigma, tau, rng)
+    snr = (detection_snr(cfg.d * (V1 @ V1.T), cfg.d * (V2 @ V2.T), tau, cfg.T, cfg.sigma)
+           if cfg.sigma > 0 else None)
+    return X, {"d": cfg.d, "sigma": cfg.sigma, "tau_star": tau, "detection_snr": snr,
+               "V1": V1.ravel(order="C"), "V2": V2.ravel(order="C")}
 
 
 def _simulate_fig3(cfg: SimpleNamespace) -> dict:

@@ -1,9 +1,10 @@
 """Generative models and Monte Carlo experiment drivers.
 
-Covers the spiked low-rank model with symmetric Gaussian noise, two random
-graph generators (block model and dot-product graphs with simplex latent
-positions), an adversarially perturbed fit, and a seeded sweep harness
-reporting aligned recovery errors across a parameter grid.
+Covers the spiked low-rank model and the mean-shift model, both with
+symmetric Gaussian noise, two random graph generators (block model and
+dot-product graphs with simplex latent positions), an adversarially
+perturbed fit, and a seeded sweep harness reporting aligned recovery errors
+across a parameter grid.
 """
 
 from __future__ import annotations
@@ -125,6 +126,27 @@ def spike_model(
     snr = float(d / np.sqrt(p * np.log(T))) if T > 1 else float("inf")
     truth = SpikeTruth(u_star, V_star, float(d), float(sigma), snr)
     return _finite_instance(data), truth
+
+
+def shift_model(
+    p: int, T: int, r: int, d: float, sigma: float, tau: int, rng: np.random.Generator
+) -> tuple[SemiSymTensor, np.ndarray, np.ndarray]:
+    """Symmetric Gaussian noise plus the mean d V1V1' on slices 1..tau and d V2V2' after.
+
+    Returns the instance and the two Haar bases V1, V2 (p x r), drawn in that
+    order before the noise. numpy's A @ A.T is bit-symmetric, so the instance
+    is exactly symmetric.
+    """
+    if p < 1 or T < 1:
+        raise InvalidParameter(f"need p >= 1 and T >= 1, got p={p}, T={T}")
+    if not 1 <= tau <= T - 1:
+        raise InvalidParameter(f"tau must lie in 1..T-1 = 1..{T - 1}, got {tau}")
+    V1 = random_stiefel(p, r, rng)
+    V2 = random_stiefel(p, r, rng)
+    data = goe_noise(p, T, sigma, rng)
+    data[:, :, :tau] += (d * (V1 @ V1.T))[:, :, None]
+    data[:, :, tau:] += (d * (V2 @ V2.T))[:, :, None]
+    return _finite_instance(data), V1, V2
 
 
 def _block_membership(p: int, n_blocks: int) -> np.ndarray:

@@ -7,7 +7,6 @@ verified spec defect and is encoded as a strict expected failure; see the
 test docstring for the blocking analysis.
 """
 
-import os
 import time
 import warnings
 
@@ -36,6 +35,7 @@ from sstpca.simulate import (
     rate_sweep,
     sbm_expected_adjacency,
     sbm_series,
+    shift_model,
     spike_model,
 )
 from sstpca.tensor import (
@@ -326,17 +326,10 @@ def test_criterion_8_changepoint():
     d = 2 * np.sqrt(p * np.log(T))  # effective SNR 2
     within_one = 0
     for s in range(100):
-        rng = np.random.default_rng(1000 + s)
-        V1 = random_stiefel(p, r, rng)
-        V2 = random_stiefel(p, r, rng)
-        M1, M2 = d * (V1 @ V1.T), d * (V2 @ V2.T)
-        noise = goe_noise(p, T, sigma, rng)
-        data = np.stack(
-            [(M1 if t < tau_star else M2) + noise[:, :, t] for t in range(T)], axis=-1
-        )
+        X, _, _ = shift_model(p, T, r, d, sigma, tau_star, np.random.default_rng(1000 + s))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = detect_changepoint(SemiSymTensor(sym(data)), r)
+            res = detect_changepoint(X, r)
         within_one += abs(res.tau_hat - tau_star) <= 1
     # constant series: exactly zero transform and a degenerate-series error
     rng = np.random.default_rng(0)
@@ -428,7 +421,7 @@ def _run_cli(runner, args, accept=(0,)):
     return result
 
 
-def test_criterion_11_cli_determinism(tmp_path):
+def test_criterion_11_cli_determinism(tmp_path, monkeypatch):
     runner = CliRunner()
     data = tmp_path / "spike.csv"
     outputs = {
@@ -460,20 +453,13 @@ def test_criterion_11_cli_determinism(tmp_path):
                       "--r", "1", "--d", "10", "--sigma", "0.5", "--seed", "5",
                       "--data-out", str(shift), "--output", str(shift_truth)])
     all_ok = True
-    old_env = os.environ.get("SSTPCA_THREADS")
-    try:
-        for name, args in commands.items():
-            snapshots = []
-            for threads in ("1", "4", "1"):
-                os.environ["SSTPCA_THREADS"] = threads
-                _run_cli(runner, args, accept=(0, 1))
-                snapshots.append(outputs[name].read_bytes())
-            all_ok &= snapshots[0] == snapshots[1] == snapshots[2]
-    finally:
-        if old_env is None:
-            os.environ.pop("SSTPCA_THREADS", None)
-        else:
-            os.environ["SSTPCA_THREADS"] = old_env
+    for name, args in commands.items():
+        snapshots = []
+        for threads in ("1", "4", "1"):
+            monkeypatch.setenv("SSTPCA_THREADS", threads)
+            _run_cli(runner, args, accept=(0, 1))
+            snapshots.append(outputs[name].read_bytes())
+        all_ok &= snapshots[0] == snapshots[1] == snapshots[2]
     report(11, all_ok, "every command byte-identical across reruns and "
                        "thread counts {1, 4}")
     assert all_ok

@@ -15,7 +15,7 @@ PUBLIC = {
     "principal_angles", "procrustes_aligned_rmse", "random_stiefel", "random_unit",
     "rank1_outer", "rank_select_bic", "rate_sweep", "rdpg_dirichlet_series", "sbm_series",
     "ropnorm_sampled_lower", "ropnorm_upper_bound", "sign_aligned_error", "sin_theta_frob",
-    "spike_model", "subspace_angle", "sym_eigen_top_r", "trace_product",
+    "shift_model", "spike_model", "subspace_angle", "sym_eigen_top_r", "trace_product",
     "truncated_matricized_pca", "ttm", "ttv3", "u_update", "unuvec", "uvec", "v_update",
 }
 

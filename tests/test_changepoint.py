@@ -6,7 +6,8 @@ import pytest
 from sstpca.changepoint import cusum_tensor, detect_changepoint, detection_snr
 from sstpca.decompose import FitOptions
 from sstpca.errors import DegenerateSeries, TooFewSlices
-from sstpca.linalg import random_stiefel, sign_aligned_error, sym
+from sstpca.linalg import sign_aligned_error, sym
+from sstpca.simulate import shift_model
 from sstpca.tensor import SemiSymTensor, new_from_slices
 
 
@@ -18,12 +19,8 @@ def constant_series(T=8, p=5, seed=0):
 
 
 def shift_series(tau, T=12, p=8, d=6.0, seed=1):
-    rng = np.random.default_rng(seed)
-    V1 = random_stiefel(p, 1, rng)
-    V2 = random_stiefel(p, 1, rng)
-    M1, M2 = d * (V1 @ V1.T), d * (V2 @ V2.T)
-    data = np.stack([(M1 if t < tau else M2) for t in range(T)], axis=-1)
-    return SemiSymTensor(sym(data)), M1, M2
+    """Noiseless rank-1 shift after slice tau."""
+    return shift_model(p, T, 1, d, 0.0, tau, np.random.default_rng(seed))[0]
 
 
 def cusum_oracle(X, t):
@@ -61,10 +58,10 @@ class TestCusumTensor:
     def test_mean_shift_peaks_at_change(self):
         # brute force: per-entry magnitude is maximized at the true shift
         tau = 5
-        X, M1, M2 = shift_series(tau, T=12)
+        X = shift_series(tau, T=12)
         C = cusum_tensor(X)
         mags = np.abs(C.data)
-        diff_support = np.abs(M1 - M2) > 1e-9
+        diff_support = np.abs(X.slice(0) - X.slice(X.T - 1)) > 1e-9
         argmax_t = np.argmax(mags, axis=2)
         assert np.all(argmax_t[diff_support] == tau - 1)
 
@@ -92,7 +89,7 @@ class TestCusumTensor:
 class TestDetect:
     def test_noiseless_shift_found(self):
         tau = 6
-        X, _, _ = shift_series(tau, T=12)
+        X = shift_series(tau, T=12)
         res = detect_changepoint(X, 1)
         assert res.tau_hat == tau
         assert res.score == pytest.approx(np.abs(res.u_hat).max())
@@ -107,7 +104,7 @@ class TestDetect:
 
     def test_time_reversal(self):
         tau = 4
-        X, _, _ = shift_series(tau, T=12)
+        X = shift_series(tau, T=12)
         rev = SemiSymTensor(sym(X.data[:, :, ::-1]))
         res_f = detect_changepoint(X, 1)
         res_b = detect_changepoint(rev, 1)
@@ -115,7 +112,7 @@ class TestDetect:
 
     def test_scaling_leaves_result(self):
         tau = 5
-        X, _, _ = shift_series(tau, T=10)
+        X = shift_series(tau, T=10)
         scaled = SemiSymTensor(sym(7.0 * X.data))
         r1, r2 = detect_changepoint(X, 1), detect_changepoint(scaled, 1)
         assert r1.tau_hat == r2.tau_hat
@@ -131,20 +128,13 @@ class TestDetect:
             detect_changepoint(X, 1)
 
     def test_rank2_shift(self):
-        rng = np.random.default_rng(7)
-        p, T, tau, d = 12, 10, 5, 8.0
-        V1, V2 = random_stiefel(p, 2, rng), random_stiefel(p, 2, rng)
-        data = np.stack(
-            [d * ((V1 if t < tau else V2) @ (V1 if t < tau else V2).T) for t in range(T)],
-            axis=-1,
-        )
-        res = detect_changepoint(SemiSymTensor(sym(data)), 2)
-        assert res.tau_hat == tau
+        X, _, _ = shift_model(12, 10, 2, 8.0, 0.0, 5, np.random.default_rng(7))
+        assert detect_changepoint(X, 2).tau_hat == 5
 
     def test_deterministic(self):
         tau = 5
         rng = np.random.default_rng(8)
-        X, _, _ = shift_series(tau, T=10)
+        X = shift_series(tau, T=10)
         noise = rng.standard_normal((8, 8, 10))
         noisy = SemiSymTensor(sym(X.data + 0.1 * (noise + noise.transpose(1, 0, 2))))
         opts = FitOptions(max_iter=100)

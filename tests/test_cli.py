@@ -358,7 +358,7 @@ class TestSimulateCommand:
             "--data-out", str(data), "--output", str(out),
         ], catch_exceptions=False)
         assert result.exit_code == 2, result.output
-        assert result.stderr.startswith("error: --tau must lie in 1..T-1")
+        assert result.stderr.startswith("error: tau must lie in 1..T-1")
         assert not out.exists() and not data.exists()
 
     @pytest.mark.parametrize("preset", ["spike", "shift"])
@@ -419,7 +419,7 @@ class TestBenchmarkCommand:
         assert len(rows) == 2 * 2 * 6  # cells x metrics
         assert csv_path.read_text().startswith("p,T,r,d,sigma,u_mode,init,reps,metric,mean,sd")
 
-    def test_thread_count_invariance(self, tmp_path, runner):
+    def test_thread_count_invariance(self, tmp_path, runner, monkeypatch):
         out = tmp_path / "bench.json"
         args = ["benchmark", "--p-list", "6", "--t", "5", "--r", "1",
                 "--d-list", "5", "--reps", "4", "--seed", "9", "--output", str(out)]
@@ -428,15 +428,8 @@ class TestBenchmarkCommand:
         run_ok(runner, args + ["--threads", "4"])
         assert out.read_bytes() == single
         # env-var route
-        old = os.environ.get("SSTPCA_THREADS")
-        os.environ["SSTPCA_THREADS"] = "3"
-        try:
-            run_ok(runner, args)
-        finally:
-            if old is None:
-                os.environ.pop("SSTPCA_THREADS", None)
-            else:
-                os.environ["SSTPCA_THREADS"] = old
+        monkeypatch.setenv("SSTPCA_THREADS", "3")
+        run_ok(runner, args)
         assert out.read_bytes() == single
 
 

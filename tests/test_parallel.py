@@ -180,12 +180,13 @@ def test_no_tensor_norm_of_a_fit_or_changepoint_runs_outside_the_hold(n_libs, mo
 
 @needs_openblas
 @pytest.mark.parametrize("p, held", [(300, True), (501, False)], ids=["p300", "p501"])
-@pytest.mark.parametrize("preset, name", [("shift", "detection_snr"), ("spike", "spike_model")])
+@pytest.mark.parametrize("preset, name", [("shift", "shift_model"), ("shift", "detection_snr"),
+                                          ("spike", "spike_model")])
 def test_simulate_instance_runs_under_the_fit_policy(n_libs, monkeypatch, tmp_path,
                                                      p, held, preset, name):
     """The instance presets draw under `_blas_hold_for(p)`, so at p <= 500 the
-    first LAPACK call of the process (detection_snr's eigvalsh for the shift
-    preset) runs on one thread."""
+    draw, and the shift preset's detection_snr with its eigvalsh, run on one
+    thread."""
     seen = []
     real = getattr(cli, name)
 

@@ -12,6 +12,7 @@ from sstpca.errors import (
     InvalidParameter,
     InvalidProbability,
     NonFiniteEntry,
+    RankTooLarge,
 )
 from sstpca.linalg import (
     procrustes_aligned_rmse,
@@ -31,6 +32,7 @@ from sstpca.simulate import (
     rdpg_series_from_latents,
     sbm_expected_adjacency,
     sbm_series,
+    shift_model,
     spike_model,
     sweep_rows,
     write_sweep_csv,
@@ -100,6 +102,16 @@ class TestSpikeModel:
         assert rng.bit_generator.state == state
 
 
+def test_shift_model_is_the_two_means_plus_seeded_noise():
+    p, T, r, d, tau = 9, 7, 2, 3.5, 3
+    X, V1, V2 = shift_model(p, T, r, d, 0.0, tau, np.random.default_rng(11))
+    for t in range(T):
+        V = V1 if t < tau else V2
+        assert X.data[:, :, t].tobytes() == (d * (V @ V.T)).tobytes()
+    X, Y = (shift_model(p, T, r, d, 1.0, tau, np.random.default_rng(12))[0] for _ in range(2))
+    assert X.data.tobytes() == Y.data.tobytes()
+
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -125,10 +137,18 @@ NAN, INF = float("nan"), float("inf")
     (lambda rng: rate_sweep([SweepCell(6, 4, 1, 0.0, 1.0)], reps=1, seed=0), InvalidParameter),
     (lambda rng: spike_model(2, 3, 2, 1.5e308, 0.0, "sphere", rng), NonFiniteEntry),
     (lambda rng: spike_model(3, 4, 1, 3.0, 1e308, "sphere", rng), NonFiniteEntry),
+    (lambda rng: shift_model(5, 6, 1, 2.0, 1.0, 0, rng), InvalidParameter),
+    (lambda rng: shift_model(5, 6, 1, 2.0, 1.0, 6, rng), InvalidParameter),
+    (lambda rng: shift_model(5, 1, 1, 2.0, 1.0, 1, rng), InvalidParameter),
+    (lambda rng: shift_model(0, 6, 1, 2.0, 1.0, 3, rng), InvalidParameter),
+    (lambda rng: shift_model(5, 6, 1, NAN, 1.0, 3, rng), NonFiniteEntry),
+    (lambda rng: shift_model(3, 4, 1, 3.0, 1e308, 2, rng), NonFiniteEntry),
+    (lambda rng: shift_model(3, 4, 4, 3.0, 1.0, 2, rng), RankTooLarge),
 ], ids=["tol", "spike-d", "spike-sigma", "goe-sigma-neg", "rank1-d", "adversarial-budget",
         "dirichlet-alpha", "spike-d-inf", "spike-sigma-inf", "goe-sigma-inf", "rank1-d-inf",
         "rank1-V-nan", "rank1-overflow", "spike-p-0", "spike-T-0", "spike-T-neg",
-        "sweep-d-0", "spike-overflow-d", "spike-overflow-sigma"])
+        "sweep-d-0", "spike-overflow-d", "spike-overflow-sigma", "shift-tau-0", "shift-tau-T",
+        "shift-T-1", "shift-p-0", "shift-d-nan", "shift-overflow-sigma", "shift-r-gt-p"])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_nan_and_negative_model_values_rejected(call, error):
     with pytest.raises(error):
