@@ -81,9 +81,16 @@ MATRIX = [
     ("benchmark-threads-2", ["benchmark", *SWEEP, "--threads", "2",
                              "--csv", "{dir}/sweep.csv"], ["sweep.csv"]),
     ("benchmark-oracle", ["benchmark", *SWEEP, "--init", "oracle", "--u-mode", "positive"], []),
-    # Above p=500 a fit keeps the BLAS threads: the threaded path, at 2 threads.
+    # Above p=500 a fit keeps the BLAS threads and eigensolves in place: the
+    # threaded path, at 2 threads, for one fit and for deflation between fits
+    # (the second factor fits noise and runs to the cap: exit 1, JSON written).
     ("benchmark-p600-blas-2", ["benchmark", "--p-list", "600", "--t", "10", "--r", "2",
                                "--d-list", "60", "--reps", "1", "--threads", "1"], []),
+    ("spike-p600-blas-2", ["simulate", "--preset", "spike", "--p", "600", "--t", "8",
+                           "--r", "2", "--d", "60", "--seed", "6",
+                           "--data-out", "{dir}/spike-p600.csv"], ["spike-p600.csv"]),
+    ("decompose-p600-blas-2", ["decompose", "--input", "{dir}/spike-p600.csv",
+                               "--ranks", "2,2", "--scheme", "projection"], []),
     # Fit-control and model-parameter errors: exit 2 and no JSON.
     ("error-tol-0", ["decompose", "--input", "{dir}/spike.csv", "--tol", "0"], []),
     ("error-max-iter-0", ["changepoint", "--input", "{dir}/shift.csv", "--max-iter", "0"], []),
@@ -112,7 +119,8 @@ MATRIX = [
 # Environment variables a matrix job sets on both trees, by job name.
 MATRIX_ENV = {"fig3-threads-2": {"SSTPCA_THREADS": "2"},
               "rank-select-threads-2": {"SSTPCA_THREADS": "2"},
-              "benchmark-p600-blas-2": {"OPENBLAS_NUM_THREADS": "2"}}
+              **{name: {"OPENBLAS_NUM_THREADS": "2"} for name in
+                 ("benchmark-p600-blas-2", "spike-p600-blas-2", "decompose-p600-blas-2")}}
 
 
 def env_for(src: Path, extra: "dict | None" = None) -> dict:

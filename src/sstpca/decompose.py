@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import _blas_hold_for
+from ._parallel import ONE_BLAS_THREAD_MAX_P, _blas_hold_for
 from .errors import (
     DegenerateIterate,
     DidNotConvergeWarning,
@@ -23,7 +23,7 @@ from .errors import (
     SingularSmoother,
     ZeroVector,
 )
-from .linalg import ZERO_NORM_TOL, eigen_block, normalize, sin_theta_frob, sym
+from .linalg import ZERO_NORM_TOL, eigen_block, eigh_workspace, normalize, sin_theta_frob, sym
 from .tensor import SemiSymTensor, rank1_outer, trace_product, ttv3
 
 DEGENERATE_OPNORM_TOL = 1e-14
@@ -107,7 +107,7 @@ def init_u(init, T: int) -> np.ndarray:
 
 
 def _best_eigen_block(
-    M: np.ndarray, r: int, eigen_scaled: bool = False
+    M: np.ndarray, r: int, eigen_scaled: bool = False, workspace=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors maximizing |trace(V' M V)| over orthonormal V.
 
@@ -122,11 +122,18 @@ def _best_eigen_block(
 
     Consumes its target: M is symmetrized in place (the bits of `sym(M)`),
     so the only p x p array held next to the eigensolver is M itself.
-    Callers pass a fresh array. Raises DimensionMismatch when r > p.
+    Callers pass a fresh C-contiguous array. With an `eigh_workspace`, sym(M)
+    is formed in the workspace's still unused head and copied back, and M is
+    eigensolved in place (`eigh_in_place`): no p x p array besides M and the
+    workspace. Raises DimensionMismatch when r > p.
     """
-    if r > M.shape[0]:
-        raise DimensionMismatch(f"rank {r} exceeds p={M.shape[0]}")
-    M = sym(M, out=M)
+    p = M.shape[0]
+    if r > p:
+        raise DimensionMismatch(f"rank {r} exceeds p={p}")
+    if workspace is None:
+        M = sym(M, out=M)
+    else:
+        M[...] = sym(M, out=workspace[0][: p * p].reshape(p, p))
     if max(M.max(), -M.min()) < DEGENERATE_OPNORM_TOL:
         raise DegenerateIterate("weighted slice sum is numerically zero")
 
@@ -134,7 +141,7 @@ def _best_eigen_block(
         top, bot = np.arange(w.shape[0] - r, w.shape[0]), np.arange(r)
         return top if w[top].sum() >= -w[bot].sum() else bot
 
-    V, lam = eigen_block(M, top_or_bottom)
+    V, lam = eigen_block(M, top_or_bottom, workspace)
     if eigen_scaled:
         V = V * np.sqrt(np.abs(lam))[None, :]
     return V, lam
@@ -193,6 +200,9 @@ def fit_single_factor(
 
     At p <= 500 every BLAS call of the fit runs with OpenBLAS held at one
     thread, so the result does not depend on OPENBLAS_NUM_THREADS (`_parallel`).
+    Above 500 the fit holds one dsyevd workspace (`eigh_workspace`), freed when
+    it returns, and each V-step eigensolves its target in place, with the bits
+    of `np.linalg.eigh`; where no loaded OpenBLAS exports dsyevd, it calls eigh.
     """
     if opts.smoother is not None and np.shape(opts.smoother) != (X.T, X.T):
         raise DimensionMismatch(f"smoother must be {X.T} x {X.T}, got {np.shape(opts.smoother)}")
@@ -200,6 +210,7 @@ def fit_single_factor(
         raise DegenerateIterate("input tensor is identically zero")
 
     diag = FitDiagnostics()
+    workspace = eigh_workspace(X.p) if X.p > ONE_BLAS_THREAD_MAX_P else None
     with _blas_hold_for(X.p):
         u = init_u(opts.init, X.T)
         for k in range(opts.max_iter):
@@ -208,7 +219,8 @@ def fit_single_factor(
             M = ttv3(X, u)
             if E_V is not None and np.any(E_V):
                 M = M + E_V
-            V, _ = _best_eigen_block(M, opts.rank, opts.eigen_scaled)
+            V, _ = _best_eigen_block(M, opts.rank, opts.eigen_scaled, workspace)
+            del M  # before trace_product allocates VV'
 
             x = trace_product(X, V)
             target = x + e_u if (e_u is not None and np.any(e_u)) else x

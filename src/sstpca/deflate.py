@@ -73,6 +73,12 @@ class OrthogonalityReport:
     v_one_way_mode2: float
 
 
+def _check_scheme(scheme: str) -> None:
+    """Raise DimensionMismatch unless `scheme` is one of SCHEMES."""
+    if scheme not in SCHEMES:
+        raise DimensionMismatch(f"unknown deflation scheme {scheme!r}")
+
+
 def _check_factor_dims(X: SemiSymTensor, f: Factor) -> None:
     if f.V.shape[0] != X.p:
         raise DimensionMismatch(f"factor V has {f.V.shape[0]} rows, tensor has p={X.p}")
@@ -85,9 +91,10 @@ def deflate(X: SemiSymTensor, f: Factor, scheme: str) -> SemiSymTensor:
     _check_factor_dims(X, f)
     if not (np.isfinite(f.d) and np.isfinite(f.u).all() and np.isfinite(f.V).all()):
         raise NonFiniteEntry("factor contains NaN or infinite entries")
+    _check_scheme(scheme)
     if scheme == "hotelling":
         out = _add_rank1(X.data.copy(), -f.d, f.V, f.u)
-    elif scheme in ("projection", "schur"):
+    else:
         V = f.V
         slices = np.moveaxis(X.data, 2, 0)
         XV = slices @ V
@@ -112,8 +119,6 @@ def deflate(X: SemiSymTensor, f: Factor, scheme: str) -> SemiSymTensor:
         # Symmetrize into C order: einsum sums in memory order, so a (T, p, p)-major
         # residual would change later fits in the last bits.
         out = sym(np.moveaxis(res, 0, 2), out=np.empty_like(X.data))
-    else:
-        raise DimensionMismatch(f"unknown deflation scheme {scheme!r}")
     # For a finite factor every scheme's residual is finite and exactly symmetric.
     return SemiSymTensor._trusted(out)
 
@@ -141,8 +146,7 @@ def fit_multi(
     At p <= 500 the whole loop runs with OpenBLAS held at one thread (see
     `_parallel`), so the decomposition does not depend on OPENBLAS_NUM_THREADS.
     """
-    if scheme not in SCHEMES:
-        raise DimensionMismatch(f"unknown deflation scheme {scheme!r}")
+    _check_scheme(scheme)
     per_factor = [replace(opts, rank=int(r)) for r in ranks]
     if not per_factor:
         raise DimensionMismatch("need at least one rank")

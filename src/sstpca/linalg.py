@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import ctypes
+import functools
+
 import numpy as np
 
+from ._parallel import _openblas_function, _openblas_libraries
 from .errors import DimensionMismatch, InvalidParameter, NotSymmetric, RankTooLarge, ZeroVector
 
 ZERO_NORM_TOL = 1e-14
@@ -31,7 +35,67 @@ def sym(A: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
     return out
 
 
-def eigen_block(A: np.ndarray, pick) -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def _dsyevd():
+    """(LAPACK dsyevd of the loaded OpenBLAS, its integer dtype), or None where no
+    loaded OpenBLAS exports it. A ``64_`` symbol suffix means 64-bit integers."""
+    for lib in _openblas_libraries():
+        fn = _openblas_function(lib, "dsyevd_")
+        if fn is not None:
+            # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, and the
+            # hidden lengths of the two character arguments (gfortran's convention).
+            fn.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 9 + [ctypes.c_size_t] * 2
+            fn.restype = None
+            return fn, np.int64 if fn.__name__.endswith("64_") else np.int32
+    return None
+
+
+def _call_dsyevd(n: int, A, w, work, lwork: int, iwork, liwork: int) -> int:
+    """dsyevd with jobz='V', uplo='L' on the n x n buffer A; returns its info.
+    lwork = liwork = -1 is the workspace query, which reads no matrix."""
+    fn, itype = _dsyevd()
+    n, lwork, liwork, info = (np.array(v, dtype=itype) for v in (n, lwork, liwork, 0))
+    fn(b"V", b"L", n.ctypes, A.ctypes, n.ctypes, w.ctypes, work.ctypes, lwork.ctypes,
+       iwork.ctypes, liwork.ctypes, info.ctypes, 1, 1)
+    return int(info)
+
+
+def eigh_workspace(p: int) -> "tuple[np.ndarray, np.ndarray] | None":
+    """The (work, iwork) arrays of `eigh_in_place` on p x p matrices, or None
+    where no loaded OpenBLAS exports dsyevd.
+
+    Sized by dsyevd's workspace query, as numpy's eigh sizes its own, so both
+    take the same algorithm path. The work array holds at least p^2 doubles
+    (2p^2 + 6p + 1 or more for p > 1), room for a p x p scratch matrix before a call.
+    """
+    dsyevd = _dsyevd()
+    if dsyevd is None:
+        return None
+    work, iwork = np.zeros(1), np.zeros(1, dtype=dsyevd[1])
+    _call_dsyevd(p, work, work, work, -1, iwork, -1)
+    return np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=iwork.dtype)
+
+
+def eigh_in_place(A: np.ndarray, workspace) -> tuple[np.ndarray, np.ndarray]:
+    """`np.linalg.eigh(A)`, bit for bit, in A's own memory.
+
+    A is a C-contiguous float64 matrix that is exactly symmetric, so LAPACK
+    reads its buffer as A itself; `workspace` comes from `eigh_workspace`.
+    OpenBLAS's dsyevd overwrites A with the eigenvectors as its rows, so the
+    returned eigenvector matrix is the view A.T. Raises LinAlgError where
+    dsyevd does not converge.
+    """
+    if A.dtype != np.float64 or A.ndim != 2 or A.shape[0] != A.shape[1] \
+            or not A.flags.c_contiguous:
+        raise ValueError("eigh_in_place needs a square, C-contiguous float64 matrix")
+    work, iwork = workspace
+    w = np.empty(A.shape[0])
+    if _call_dsyevd(A.shape[0], A, w, work, work.size, iwork, iwork.size):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w, A.T
+
+
+def eigen_block(A: np.ndarray, pick, workspace=None) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a symmetric matrix selected by `pick`.
 
     `pick(w)` maps the ascending eigenvalues to the indices to keep; the
@@ -39,8 +103,9 @@ def eigen_block(A: np.ndarray, pick) -> tuple[np.ndarray, np.ndarray]:
     Sign convention: the largest-magnitude entry of each eigenvector is
     positive (first such entry on exact ties), which makes the output
     deterministic including degenerate spectra. The basis is C-contiguous.
+    With a `workspace`, A is solved by `eigh_in_place` and overwritten.
     """
-    w, Q = np.linalg.eigh(A)
+    w, Q = np.linalg.eigh(A) if workspace is None else eigh_in_place(A, workspace)
     idx = pick(w)
     order = idx[np.argsort(-np.abs(w[idx]), kind="stable")]
     V = Q[:, order].copy()

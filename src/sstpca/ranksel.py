@@ -15,7 +15,7 @@ import numpy as np
 
 from ._parallel import _blas_hold_for, ordered_map, resolve_threads
 from .decompose import Factor, FitOptions, fit_single_factor
-from .deflate import SCHEMES, deflate
+from .deflate import _check_scheme, deflate
 from .errors import DimensionMismatch, SSTPCAError
 from .tensor import SemiSymTensor, _as_data, factor_inner, trace_product
 
@@ -83,8 +83,7 @@ def rank_select_bic(
         raise DimensionMismatch(f"r_max={r_max} must lie in [1, {X.p}]")
     if K_max < 1:
         raise DimensionMismatch("K_max must be at least 1")
-    if scheme not in SCHEMES:
-        raise DimensionMismatch(f"unknown deflation scheme {scheme!r}")
+    _check_scheme(scheme)
     n_threads = resolve_threads()
 
     n_obs = X.T * X.p * (X.p + 1) // 2

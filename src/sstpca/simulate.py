@@ -141,6 +141,8 @@ def shift_model(
         raise InvalidParameter(f"need p >= 1 and T >= 1, got p={p}, T={T}")
     if not 1 <= tau <= T - 1:
         raise InvalidParameter(f"tau must lie in 1..T-1 = 1..{T - 1}, got {tau}")
+    if not math.isfinite(d):
+        raise NonFiniteEntry(f"d must be finite, got {d}")
     V1 = random_stiefel(p, r, rng)
     V2 = random_stiefel(p, r, rng)
     data = goe_noise(p, T, sigma, rng)

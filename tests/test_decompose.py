@@ -1,8 +1,11 @@
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
+from sstpca import decompose, linalg
+from sstpca._parallel import ONE_BLAS_THREAD_MAX_P, _single_threaded_blas, ordered_map
 from sstpca.changepoint import detect_changepoint
 from sstpca.decompose import (
     FitOptions,
@@ -23,6 +26,7 @@ from sstpca.errors import (
 )
 from sstpca.linalg import (
     eigen_block,
+    eigh_workspace,
     procrustes_aligned_rmse,
     random_stiefel,
     random_unit,
@@ -142,6 +146,71 @@ class TestBestEigenBlock:
         V, lam = _best_eigen_block(np.diag([0.0, -1.0]), 1)
         assert lam.tolist() == [-1.0]
         assert np.abs(V[:, 0]).tolist() == [0.0, 1.0]
+
+
+@pytest.fixture(scope="module")
+def spike501():
+    """An instance one node above the largest p whose fits keep np.linalg.eigh."""
+    X, _ = spike_model(ONE_BLAS_THREAD_MAX_P + 1, 4, 2, 30.0, 1.0, "sphere",
+                       np.random.default_rng(7))
+    return X
+
+
+def fit_bytes(X) -> bytes:
+    f, diag = fit_single_factor(X, FitOptions(rank=2))
+    return b"".join(np.asarray(a).tobytes()
+                    for a in (f.u, f.V, f.d, diag.objective, diag.u_change))
+
+
+@pytest.mark.skipif(linalg._dsyevd() is None, reason="no loaded OpenBLAS exports dsyevd")
+class TestInPlaceVStep:
+    @pytest.mark.parametrize("eigen_scaled", [False, True])
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_bits_of_the_eigh_step(self, r, eigen_scaled):
+        p = ONE_BLAS_THREAD_MAX_P + 1
+        M = np.random.default_rng(r).standard_normal((p, p))
+        V_ref, lam_ref = _best_eigen_block(M.copy(), r, eigen_scaled)
+        V, lam = _best_eigen_block(M, r, eigen_scaled, eigh_workspace(p))
+        assert V.tobytes() == V_ref.tobytes() and V.flags.c_contiguous
+        assert lam.tobytes() == lam_ref.tobytes()
+
+    def test_fallback_without_dsyevd_gives_the_same_bytes(self, spike501, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(A):
+            calls.append(A.shape)
+            return eigh(A)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        in_place = fit_bytes(spike501)
+        assert calls == []
+        monkeypatch.setattr(linalg, "_dsyevd", lambda: None)
+        assert fit_bytes(spike501) == in_place
+        assert len(calls) > 1
+
+    def test_pooled_fits_give_the_serial_bytes(self, spike501):
+        with _single_threaded_blas:
+            serial = fit_bytes(spike501)
+        assert ordered_map(fit_bytes, [spike501, spike501], 2) == [serial, serial]
+
+    def test_workspace_lives_only_as_long_as_the_fit(self, spike501, monkeypatch):
+        refs = []
+
+        def tracked(p):
+            workspace = eigh_workspace(p)
+            refs.extend(weakref.ref(a) for a in workspace)
+            return workspace
+
+        monkeypatch.setattr(decompose, "eigh_workspace", tracked)
+        fit_single_factor(spike501, FitOptions(rank=2))
+        assert len(refs) == 2 and all(ref() is None for ref in refs)
+
+    def test_fits_up_to_p500_keep_numpy_eigh(self, monkeypatch):
+        monkeypatch.setattr(decompose, "eigh_workspace", lambda p: pytest.fail("workspace"))
+        X, _ = spike_model(ONE_BLAS_THREAD_MAX_P, 6, 1, 100.0, 1.0, "sphere",
+                           np.random.default_rng(8))
+        assert fit_single_factor(X, FitOptions())[1].converged
 
 
 class TestUUpdate:

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sstpca import ranksel
 from sstpca.decompose import Factor, FitOptions, fit_single_factor
 from sstpca.deflate import (
     SCHEMES,
@@ -97,6 +98,18 @@ class TestDeflate:
         f = fitted_factor(X)
         with pytest.raises(DimensionMismatch):
             deflate(X, f, "powell")
+
+    @pytest.mark.parametrize("entry", ["fit_multi", "rank_select_bic"])
+    def test_unknown_scheme_is_rejected_before_any_fit(self, entry, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("fitted before the scheme check")
+
+        for module in (importlib.import_module("sstpca.deflate"), ranksel):
+            monkeypatch.setattr(module, "fit_single_factor", no_fit)
+        call = {"fit_multi": lambda X: fit_multi(X, [1], "powell"),
+                "rank_select_bic": lambda X: ranksel.rank_select_bic(X, 2, 1, scheme="powell")}
+        with pytest.raises(DimensionMismatch, match="^unknown deflation scheme 'powell'$"):
+            call[entry](random_instance(3))
 
     def test_dims_checked(self):
         X = random_instance(4)

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from sstpca import linalg
+from sstpca._parallel import _openblas_controls
 from sstpca.errors import DimensionMismatch, NotSymmetric, RankTooLarge, ZeroVector
 from sstpca.linalg import (
+    eigh_in_place,
+    eigh_workspace,
     is_orthonormal,
     normalize,
     principal_angles,
@@ -12,8 +16,11 @@ from sstpca.linalg import (
     sign_aligned_error,
     sin_theta_frob,
     subspace_angle,
+    sym,
     sym_eigen_top_r,
 )
+from sstpca.simulate import spike_model
+from sstpca.tensor import ttv3
 
 
 class TestSymEigen:
@@ -59,6 +66,64 @@ class TestSymEigen:
     def test_rank_too_large(self):
         with pytest.raises(RankTooLarge):
             sym_eigen_top_r(np.eye(3), 4)
+
+
+@pytest.fixture(params=[1, 2], ids=["1blas", "2blas"])
+def blas_threads(request):
+    """Every loaded OpenBLAS at request.param threads for the test."""
+    controls = _openblas_controls()
+    saved = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(request.param)
+    yield request.param
+    for (_, set_), n in zip(controls, saved):
+        set_(n)
+
+
+@pytest.mark.skipif(linalg._dsyevd() is None, reason="no loaded OpenBLAS exports dsyevd")
+class TestEighInPlace:
+    @pytest.mark.parametrize("p", [500, 501, 700])
+    @pytest.mark.parametrize("kind", ["random", "fit-target"])
+    def test_bits_of_numpy_eigh(self, p, kind, blas_threads):
+        # p=500 is the largest p whose fits keep np.linalg.eigh; above it they solve in place.
+        rng = np.random.default_rng(p)
+        if kind == "random":
+            A = sym(rng.standard_normal((p, p)))
+        else:
+            X, truth = spike_model(p, 4, 2, 30.0, 1.0, "sphere", rng)
+            A = sym(ttv3(X, truth.u_star))
+        w_ref, Q_ref = np.linalg.eigh(A)
+        w, Q = eigh_in_place(A, eigh_workspace(p))
+        assert w.tobytes() == w_ref.tobytes()
+        assert np.ascontiguousarray(Q).tobytes() == Q_ref.tobytes()
+        assert np.shares_memory(Q, A)
+
+    @pytest.mark.parametrize("p", [1, 2, 7])
+    def test_small_p(self, p):
+        A = sym(np.random.default_rng(p).standard_normal((p, p)))
+        w_ref, Q_ref = np.linalg.eigh(A)
+        w, Q = eigh_in_place(A.copy(), eigh_workspace(p))
+        assert w.tobytes() == w_ref.tobytes() and np.array_equal(Q, Q_ref)
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "float32", "non-square"])
+    def test_rejects_what_lapack_would_misread(self, layout):
+        A = sym(np.random.default_rng(0).standard_normal((4, 4)))
+        A = {"fortran": np.asfortranarray(A), "strided": A[::2, ::2],
+             "float32": A.astype(np.float32), "non-square": A[:2]}[layout]
+        with pytest.raises(ValueError, match="square, C-contiguous float64"):
+            eigh_in_place(A, eigh_workspace(4))
+
+    def test_nan_entries_raise_lin_alg_error(self):
+        A = np.full((5, 5), np.nan)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eigh(A)
+        with pytest.raises(np.linalg.LinAlgError):
+            eigh_in_place(A, eigh_workspace(5))
+
+
+def test_no_workspace_where_no_openblas_exports_dsyevd(monkeypatch):
+    monkeypatch.setattr(linalg, "_dsyevd", lambda: None)
+    assert eigh_workspace(600) is None
 
 
 class TestNormalize:

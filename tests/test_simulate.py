@@ -141,17 +141,22 @@ NAN, INF = float("nan"), float("inf")
     (lambda rng: shift_model(5, 6, 1, 2.0, 1.0, 6, rng), InvalidParameter),
     (lambda rng: shift_model(5, 1, 1, 2.0, 1.0, 1, rng), InvalidParameter),
     (lambda rng: shift_model(0, 6, 1, 2.0, 1.0, 3, rng), InvalidParameter),
-    (lambda rng: shift_model(5, 6, 1, NAN, 1.0, 3, rng), NonFiniteEntry),
+    (lambda rng: shift_model(5, 6, 1, NAN, 1.0, 3, rng),
+     (NonFiniteEntry, "^d must be finite, got nan$")),
+    (lambda rng: shift_model(5, 6, 1, INF, 0.0, 3, rng),
+     (NonFiniteEntry, "^d must be finite, got inf$")),
     (lambda rng: shift_model(3, 4, 1, 3.0, 1e308, 2, rng), NonFiniteEntry),
     (lambda rng: shift_model(3, 4, 4, 3.0, 1.0, 2, rng), RankTooLarge),
 ], ids=["tol", "spike-d", "spike-sigma", "goe-sigma-neg", "rank1-d", "adversarial-budget",
         "dirichlet-alpha", "spike-d-inf", "spike-sigma-inf", "goe-sigma-inf", "rank1-d-inf",
         "rank1-V-nan", "rank1-overflow", "spike-p-0", "spike-T-0", "spike-T-neg",
         "sweep-d-0", "spike-overflow-d", "spike-overflow-sigma", "shift-tau-0", "shift-tau-T",
-        "shift-T-1", "shift-p-0", "shift-d-nan", "shift-overflow-sigma", "shift-r-gt-p"])
+        "shift-T-1", "shift-p-0", "shift-d-nan", "shift-d-inf", "shift-overflow-sigma",
+        "shift-r-gt-p"])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_nan_and_negative_model_values_rejected(call, error):
-    with pytest.raises(error):
+    error, match = error if isinstance(error, tuple) else (error, None)
+    with pytest.raises(error, match=match):
         call(np.random.default_rng(0))
 
 
