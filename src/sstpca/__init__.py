@@ -17,6 +17,7 @@ from .decompose import (
     Factor,
     FitDiagnostics,
     FitOptions,
+    fit_adversarial,
     fit_single_factor,
     init_u,
     u_update,
@@ -44,7 +45,6 @@ from .ranksel import rank_select_bic
 from .simulate import (
     SpikeTruth,
     SweepCell,
-    fit_adversarial,
     rate_sweep,
     rdpg_dirichlet_series,
     sbm_series,

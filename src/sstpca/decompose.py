@@ -1,4 +1,4 @@
-"""Single-factor alternating fit, its variants, and initialization schemes.
+"""Single-factor alternating fit, its adversarial variant, and initialization schemes.
 
 The fit alternates two closed-form block updates: the network basis V is
 the r-dimensional eigenblock of the u-weighted slice sum with the largest
@@ -9,6 +9,7 @@ the objective <X, V o V o u> never decreases across iterations.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from ._parallel import ONE_BLAS_THREAD_MAX_P, _blas_hold_for
 from .errors import (
+    BudgetExceeded,
     DegenerateIterate,
     DidNotConvergeWarning,
     DimensionMismatch,
@@ -98,7 +100,7 @@ def init_u(init, T: int) -> np.ndarray:
     if u0.shape[0] != T:
         raise DimensionMismatch(f"initial u has length {u0.shape[0]}, expected {T}")
     dev = abs(float(np.linalg.norm(u0)) - 1.0)
-    if dev > 1e-6:
+    if not dev <= 1e-6:  # NaN entries give a NaN dev
         raise InvalidGivenInit(f"initial u deviates from unit length by {dev:.3e}")
     if dev > 1e-12:
         warnings.warn("renormalizing slightly off-unit initial u", stacklevel=2)
@@ -124,7 +126,7 @@ def _best_eigen_block(
     so the only p x p array held next to the eigensolver is M itself.
     Callers pass a fresh C-contiguous array. With an `eigh_workspace`, sym(M)
     is formed in the workspace's still unused head and copied back, and M is
-    eigensolved in place (`eigh_in_place`): no p x p array besides M and the
+    eigensolved in place (`eigh`): no p x p array besides M and the
     workspace. Raises DimensionMismatch when r > p.
     """
     p = M.shape[0]
@@ -179,31 +181,18 @@ def u_update(X, V: np.ndarray, S: "np.ndarray | None" = None) -> np.ndarray:
     return _loading(trace_product(X, V), S)
 
 
-def fit_single_factor(
-    X: SemiSymTensor, opts: FitOptions, _perturb=None
-) -> tuple[Factor, FitDiagnostics]:
-    """Alternating fit of one factor.
+def _v_change(V: np.ndarray, prev: "np.ndarray | None") -> tuple[float, np.ndarray]:
+    """(V distance, V's unit columns): `sin_theta_frob` of V's unit columns and
+    the previous iterate's `prev`, or inf where there is none."""
+    norms = np.linalg.norm(V, axis=0)
+    V_unit = V / np.where(norms > 0, norms, 1.0)
+    return (np.inf if prev is None else sin_theta_frob(V_unit, prev)), V_unit
 
-    Stops when both the u-change and the V change (`sin_theta_frob` of two
-    consecutive bases) drop below tol. Below about 1e-7 the V change reads
-    either its rounding floor, about sqrt(r eps) (2.6e-8 at r=3), or exactly
-    0, so at the default tol 1e-8 rounding decides when a converged fit stops.
-    Hitting max_iter is flagged (diagnostics.converged False, plus a
-    DidNotConvergeWarning) but still returns the last iterate; partial
-    iterates are statistically useful.
 
-    `_perturb`, when given, is called once per iteration and returns a
-    symmetric matrix added to the V-update target and a vector added to the
-    u-update target; it backs the adversarial-noise harness. So the loop runs
-    the steps of v_update and u_update, `_best_eigen_block` and `_loading`,
-    rather than calling them; the objective uses the unperturbed trace-product.
-
-    At p <= 500 every BLAS call of the fit runs with OpenBLAS held at one
-    thread, so the result does not depend on OPENBLAS_NUM_THREADS (`_parallel`).
-    Above 500 the fit holds one dsyevd workspace (`eigh_workspace`), freed when
-    it returns, and each V-step eigensolves its target in place, with the bits
-    of `np.linalg.eigh`; where no loaded OpenBLAS exports dsyevd, it calls eigh.
-    """
+def _alternate(X: SemiSymTensor, opts: FitOptions, v_step, u_step):
+    """The alternating loop of `fit_single_factor` over its two steps:
+    `v_step(M, rank, eigen_scaled, workspace)` consumes the target ttv3(X, u) and
+    returns (V, lam); `u_step(x, smoother)` maps the trace-product x to u."""
     if opts.smoother is not None and np.shape(opts.smoother) != (X.T, X.T):
         raise DimensionMismatch(f"smoother must be {X.T} x {X.T}, got {np.shape(opts.smoother)}")
     if not np.any(X.data):
@@ -212,20 +201,13 @@ def fit_single_factor(
     diag = FitDiagnostics()
     workspace = eigh_workspace(X.p) if X.p > ONE_BLAS_THREAD_MAX_P else None
     with _blas_hold_for(X.p):
-        u = init_u(opts.init, X.T)
+        u, V_unit = init_u(opts.init, X.T), None
         for k in range(opts.max_iter):
-            E_V, e_u = _perturb(k) if _perturb is not None else (None, None)
-
-            M = ttv3(X, u)
-            if E_V is not None and np.any(E_V):
-                M = M + E_V
-            V, _ = _best_eigen_block(M, opts.rank, opts.eigen_scaled, workspace)
-            del M  # before trace_product allocates VV'
-
+            # The target goes straight in, so it is freed before trace_product allocates VV'.
+            V, _ = v_step(ttv3(X, u), opts.rank, opts.eigen_scaled, workspace)
             x = trace_product(X, V)
-            target = x + e_u if (e_u is not None and np.any(e_u)) else x
             try:
-                u_new = _loading(target, opts.smoother)
+                u_new = u_step(x, opts.smoother)
             except ZeroVector as e:
                 raise DegenerateIterate("loading update target is numerically zero") from e
 
@@ -237,23 +219,80 @@ def fit_single_factor(
             diag.V_trace.append(V)
             diag.iterations = k + 1
 
-            norms = np.linalg.norm(V, axis=0)
-            V_unit = V / np.where(norms > 0, norms, 1.0)
-            v_change = np.inf if k == 0 else sin_theta_frob(V_unit, V_unit_prev)
-            u, V_unit_prev = u_new, V_unit
+            v_change, V_unit = _v_change(V, V_unit)
+            u = u_new
             if u_change < opts.tol and v_change < opts.tol:
                 diag.converged = True
                 break
 
-    if not diag.converged:
-        warnings.warn(
-            f"fit did not converge within {opts.max_iter} iterations",
-            DidNotConvergeWarning,
-            stacklevel=2,
-        )
+    if not diag.converged:  # stacklevel 3: the line that called the public fit
+        warnings.warn(f"fit did not converge within {opts.max_iter} iterations",
+                      DidNotConvergeWarning, stacklevel=3)
 
     d = obj / opts.rank
     if d < 0:
         u = -u
         d = -d
     return Factor(u=u, V=V, d=d), diag
+
+
+def fit_single_factor(X: SemiSymTensor, opts: FitOptions) -> tuple[Factor, FitDiagnostics]:
+    """Alternating fit of one factor.
+
+    Stops when both the u-change and the V change (`_v_change`: `sin_theta_frob`
+    of two consecutive bases) drop below tol. Below about 1e-7 the V change reads
+    either its rounding floor, about sqrt(r eps) (2.6e-8 at r=3), or exactly
+    0, so at the default tol 1e-8 rounding decides when a converged fit stops.
+    Hitting max_iter is flagged (diagnostics.converged False, plus a
+    DidNotConvergeWarning) but still returns the last iterate; partial
+    iterates are statistically useful.
+
+    At p <= 500 every BLAS call of the fit runs with OpenBLAS held at one
+    thread, so the result does not depend on OPENBLAS_NUM_THREADS (`_parallel`).
+    Above 500 the fit holds one dsyevd workspace (`eigh_workspace`), freed when
+    it returns, and each V-step eigensolves its target in place, with the bits
+    of `np.linalg.eigh`; where no loaded OpenBLAS exports dsyevd, it calls eigh.
+    """
+    return _alternate(X, opts, _best_eigen_block, _loading)
+
+
+def fit_adversarial(
+    X_signal: SemiSymTensor, opts: FitOptions, noise_budget: float, adversary
+) -> tuple[Factor, FitDiagnostics]:
+    """Run the alternating fit with per-iteration adversarial perturbations.
+
+    `adversary(k)` returns (E_V, e_u): a symmetric matrix added to the
+    V-update target and a vector added to the u-update target. Both must be
+    finite, and the operator norm of E_V and the 2-norm of e_u must not exceed
+    the budget, else BudgetExceeded before any solve. The objective uses the
+    unperturbed trace-product.
+    """
+    if not noise_budget >= 0:
+        raise DimensionMismatch("noise budget must be nonnegative")
+    p, T = X_signal.p, X_signal.T
+    iteration = itertools.count()
+    e_u = None
+
+    def v_step(M, r, eigen_scaled, workspace):
+        nonlocal e_u
+        E_V, e_u = adversary(next(iteration))
+        E_V = np.asarray(E_V, dtype=np.float64)
+        e_u = np.asarray(e_u, dtype=np.float64).ravel()
+        if E_V.shape != (p, p):
+            raise DimensionMismatch(f"E_V must be {p} x {p}, got {E_V.shape}")
+        if e_u.shape[0] != T:
+            raise DimensionMismatch(f"e_u must have length {T}, got {e_u.shape[0]}")
+        for name, e in (("E_V", E_V), ("e_u", e_u)):
+            if not np.isfinite(e).all():
+                raise BudgetExceeded(f"{name} has NaN or infinite entries")
+        E_V = sym(E_V)
+        opnorm = float(np.abs(np.linalg.eigvalsh(E_V)).max()) if np.any(E_V) else 0.0
+        for name, size in (("E_V operator norm", opnorm), ("e_u norm", np.linalg.norm(e_u))):
+            if size > noise_budget * (1.0 + 1e-12):
+                raise BudgetExceeded(f"{name} {size:.3e} exceeds budget {noise_budget:.3e}")
+        return _best_eigen_block(M + E_V if np.any(E_V) else M, r, eigen_scaled, workspace)
+
+    def u_step(x, S):
+        return _loading(x + e_u if np.any(e_u) else x, S)
+
+    return _alternate(X_signal, opts, v_step, u_step)

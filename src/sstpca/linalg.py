@@ -61,7 +61,7 @@ def _call_dsyevd(n: int, A, w, work, lwork: int, iwork, liwork: int) -> int:
 
 
 def eigh_workspace(p: int) -> "tuple[np.ndarray, np.ndarray] | None":
-    """The (work, iwork) arrays of `eigh_in_place` on p x p matrices, or None
+    """The (work, iwork) arrays of `eigh` in place on p x p matrices, or None
     where no loaded OpenBLAS exports dsyevd.
 
     Sized by dsyevd's workspace query, as numpy's eigh sizes its own, so both
@@ -76,18 +76,20 @@ def eigh_workspace(p: int) -> "tuple[np.ndarray, np.ndarray] | None":
     return np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=iwork.dtype)
 
 
-def eigh_in_place(A: np.ndarray, workspace) -> tuple[np.ndarray, np.ndarray]:
-    """`np.linalg.eigh(A)`, bit for bit, in A's own memory.
+def eigh(A: np.ndarray, workspace=None) -> tuple[np.ndarray, np.ndarray]:
+    """`np.linalg.eigh(A)`; with a `workspace` from `eigh_workspace`, the same
+    bits in A's own memory.
 
-    A is a C-contiguous float64 matrix that is exactly symmetric, so LAPACK
-    reads its buffer as A itself; `workspace` comes from `eigh_workspace`.
-    OpenBLAS's dsyevd overwrites A with the eigenvectors as its rows, so the
-    returned eigenvector matrix is the view A.T. Raises LinAlgError where
-    dsyevd does not converge.
+    In place, A is a C-contiguous float64 matrix that is exactly symmetric, so
+    LAPACK reads its buffer as A itself. OpenBLAS's dsyevd overwrites A with the
+    eigenvectors as its rows, so the returned eigenvector matrix is the view A.T.
+    Raises LinAlgError where the solver does not converge.
     """
+    if workspace is None:
+        return np.linalg.eigh(A)
     if A.dtype != np.float64 or A.ndim != 2 or A.shape[0] != A.shape[1] \
             or not A.flags.c_contiguous:
-        raise ValueError("eigh_in_place needs a square, C-contiguous float64 matrix")
+        raise ValueError("eigh in place needs a square, C-contiguous float64 matrix")
     work, iwork = workspace
     w = np.empty(A.shape[0])
     if _call_dsyevd(A.shape[0], A, w, work, work.size, iwork, iwork.size):
@@ -103,9 +105,9 @@ def eigen_block(A: np.ndarray, pick, workspace=None) -> tuple[np.ndarray, np.nda
     Sign convention: the largest-magnitude entry of each eigenvector is
     positive (first such entry on exact ties), which makes the output
     deterministic including degenerate spectra. The basis is C-contiguous.
-    With a `workspace`, A is solved by `eigh_in_place` and overwritten.
+    With a `workspace`, A is solved by `eigh` in place and overwritten.
     """
-    w, Q = np.linalg.eigh(A) if workspace is None else eigh_in_place(A, workspace)
+    w, Q = eigh(A, workspace)
     idx = pick(w)
     order = idx[np.argsort(-np.abs(w[idx]), kind="stable")]
     V = Q[:, order].copy()

@@ -2,9 +2,8 @@
 
 Covers the spiked low-rank model and the mean-shift model, both with
 symmetric Gaussian noise, two random graph generators (block model and
-dot-product graphs with simplex latent positions), an adversarially
-perturbed fit, and a seeded sweep harness reporting aligned recovery errors
-across a parameter grid.
+dot-product graphs with simplex latent positions), and a seeded sweep
+harness reporting aligned recovery errors across a parameter grid.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import numpy as np
 from ._parallel import ordered_map
 from .decompose import Factor, FitDiagnostics, FitOptions, fit_single_factor
 from .errors import (
-    BudgetExceeded,
     DimensionMismatch,
     InvalidParameter,
     InvalidProbability,
@@ -29,7 +27,6 @@ from .linalg import (
     random_stiefel,
     random_unit,
     sign_aligned_error,
-    sym,
 )
 from .tensor import SemiSymTensor, _add_rank1, factor_inner
 
@@ -216,42 +213,6 @@ def rdpg_dirichlet_series(
 ) -> SemiSymTensor:
     """Dot-product graphs with Dirichlet latent positions fixed across slices."""
     return rdpg_series_from_latents(dirichlet_latents(p, r, alpha, rng), T, rng)
-
-
-def fit_adversarial(
-    X_signal: SemiSymTensor,
-    opts: FitOptions,
-    noise_budget: float,
-    adversary,
-) -> tuple[Factor, FitDiagnostics]:
-    """Run the alternating fit with per-iteration adversarial perturbations.
-
-    `adversary(k)` returns (E_V, e_u): a symmetric matrix added to the
-    V-update target and a vector added to the u-update target. Operator
-    norm of E_V and 2-norm of e_u must not exceed the budget.
-    """
-    if not noise_budget >= 0:
-        raise DimensionMismatch("noise budget must be nonnegative")
-
-    def perturb(k):
-        E_V, e_u = adversary(k)
-        E_V = np.asarray(E_V, dtype=np.float64)
-        e_u = np.asarray(e_u, dtype=np.float64).ravel()
-        if E_V.shape != (X_signal.p, X_signal.p):
-            raise DimensionMismatch(f"E_V must be {X_signal.p} x {X_signal.p}, got {E_V.shape}")
-        if e_u.shape[0] != X_signal.T:
-            raise DimensionMismatch(f"e_u must have length {X_signal.T}, got {e_u.shape[0]}")
-        E_V = sym(E_V)
-        opnorm = float(np.abs(np.linalg.eigvalsh(E_V)).max()) if np.any(E_V) else 0.0
-        slack = 1.0 + 1e-12
-        if opnorm > noise_budget * slack:
-            raise BudgetExceeded(f"E_V operator norm {opnorm:.3e} exceeds budget {noise_budget:.3e}")
-        e_norm = float(np.linalg.norm(e_u))
-        if e_norm > noise_budget * slack:
-            raise BudgetExceeded(f"e_u norm {e_norm:.3e} exceeds budget {noise_budget:.3e}")
-        return E_V, e_u
-
-    return fit_single_factor(X_signal, opts, _perturb=perturb)
 
 
 @dataclass(frozen=True)

@@ -29,3 +29,10 @@ def test_public_names():
 def test_fit_options_fields():
     assert [f.name for f in dataclasses.fields(FitOptions)] == [
         "rank", "max_iter", "tol", "init", "eigen_scaled", "smoother"]
+
+
+def test_fit_signatures():
+    # A private keyword option of a fit would show up here.
+    assert list(inspect.signature(sstpca.fit_single_factor).parameters) == ["X", "opts"]
+    assert list(inspect.signature(sstpca.fit_adversarial).parameters) == [
+        "X_signal", "opts", "noise_budget", "adversary"]

@@ -1,10 +1,11 @@
+import inspect
 import warnings
 import weakref
 
 import numpy as np
 import pytest
 
-from sstpca import decompose, linalg
+from sstpca import decompose, fit_adversarial, linalg
 from sstpca._parallel import ONE_BLAS_THREAD_MAX_P, _single_threaded_blas, ordered_map
 from sstpca.changepoint import detect_changepoint
 from sstpca.decompose import (
@@ -35,7 +36,7 @@ from sstpca.linalg import (
     subspace_angle,
     sym,
 )
-from sstpca.simulate import fit_adversarial, goe_noise, spike_model
+from sstpca.simulate import goe_noise, spike_model
 from sstpca.tensor import SemiSymTensor, new_from_slices, rank1_outer, trace_product
 
 
@@ -71,6 +72,8 @@ class TestInitU:
     def test_given_far_off_rejected(self):
         with pytest.raises(InvalidGivenInit):
             init_u(np.full(4, 1.0), 4)
+        with pytest.raises(InvalidGivenInit, match="deviates from unit length by nan"):
+            init_u(np.array([np.nan, 1.0, 0.0]), 3)
 
     def test_unknown_scheme(self):
         with pytest.raises(InvalidGivenInit):
@@ -310,6 +313,15 @@ class TestFitSingleFactor:
         assert sin_theta_frob(f.V, V_star) < 1e-7
         assert sign_aligned_error(f.u, u_star) < 1e-10
         assert f.d == pytest.approx(2.0)
+
+    def test_did_not_converge_warning_names_the_callers_line(self):
+        X, _ = spike_model(6, 4, 1, 3.0, 1.0, "sphere", np.random.default_rng(2))
+        zero = lambda k: (np.zeros((6, 6)), np.zeros(4))
+        for fit, args in ((fit_single_factor, ()), (fit_adversarial, (0.0, zero))):
+            with pytest.warns(DidNotConvergeWarning) as record:
+                line = inspect.currentframe().f_lineno + 1
+                fit(X, FitOptions(max_iter=1), *args)
+            assert (record[0].filename, record[0].lineno) == (__file__, line)
 
     def test_monotone_objective_random_fuzz(self):
         rng = np.random.default_rng(8)

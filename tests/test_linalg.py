@@ -5,7 +5,7 @@ from sstpca import linalg
 from sstpca._parallel import _openblas_controls
 from sstpca.errors import DimensionMismatch, NotSymmetric, RankTooLarge, ZeroVector
 from sstpca.linalg import (
-    eigh_in_place,
+    eigh,
     eigh_workspace,
     is_orthonormal,
     normalize,
@@ -93,7 +93,7 @@ class TestEighInPlace:
             X, truth = spike_model(p, 4, 2, 30.0, 1.0, "sphere", rng)
             A = sym(ttv3(X, truth.u_star))
         w_ref, Q_ref = np.linalg.eigh(A)
-        w, Q = eigh_in_place(A, eigh_workspace(p))
+        w, Q = eigh(A, eigh_workspace(p))
         assert w.tobytes() == w_ref.tobytes()
         assert np.ascontiguousarray(Q).tobytes() == Q_ref.tobytes()
         assert np.shares_memory(Q, A)
@@ -102,7 +102,7 @@ class TestEighInPlace:
     def test_small_p(self, p):
         A = sym(np.random.default_rng(p).standard_normal((p, p)))
         w_ref, Q_ref = np.linalg.eigh(A)
-        w, Q = eigh_in_place(A.copy(), eigh_workspace(p))
+        w, Q = eigh(A.copy(), eigh_workspace(p))
         assert w.tobytes() == w_ref.tobytes() and np.array_equal(Q, Q_ref)
 
     @pytest.mark.parametrize("layout", ["fortran", "strided", "float32", "non-square"])
@@ -111,14 +111,14 @@ class TestEighInPlace:
         A = {"fortran": np.asfortranarray(A), "strided": A[::2, ::2],
              "float32": A.astype(np.float32), "non-square": A[:2]}[layout]
         with pytest.raises(ValueError, match="square, C-contiguous float64"):
-            eigh_in_place(A, eigh_workspace(4))
+            eigh(A, eigh_workspace(4))
 
     def test_nan_entries_raise_lin_alg_error(self):
         A = np.full((5, 5), np.nan)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.eigh(A)
         with pytest.raises(np.linalg.LinAlgError):
-            eigh_in_place(A, eigh_workspace(5))
+            eigh(A, eigh_workspace(5))
 
 
 def test_no_workspace_where_no_openblas_exports_dsyevd(monkeypatch):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sstpca import simulate
+from sstpca import fit_adversarial, simulate
 from sstpca.decompose import Factor, FitOptions, fit_single_factor
 from sstpca.errors import (
     BudgetExceeded,
@@ -25,7 +25,6 @@ from sstpca.simulate import (
     SweepCell,
     _recon_error,
     dirichlet_latents,
-    fit_adversarial,
     goe_noise,
     rate_sweep,
     rdpg_dirichlet_series,
@@ -422,6 +421,16 @@ class TestAdversarial:
         bad_u = lambda k: (np.zeros((6, 6)), np.full(4, 1.0))
         with pytest.raises(BudgetExceeded):
             fit_adversarial(X, FitOptions(rank=1), 1.0, bad_u)
+        # non-finite perturbations are rejected before any solve, at any budget
+        for value in (np.nan, np.inf):
+            E_V = np.zeros((6, 6))
+            E_V[0, 0] = value
+            for budget in (1.0, np.inf):
+                with pytest.raises(BudgetExceeded, match="^E_V has NaN or infinite entries$"):
+                    fit_adversarial(X, FitOptions(rank=1), budget, lambda k: (E_V, np.zeros(4)))
+                with pytest.raises(BudgetExceeded, match="^e_u has NaN or infinite entries$"):
+                    fit_adversarial(X, FitOptions(rank=1), budget,
+                                    lambda k: (np.zeros((6, 6)), np.full(4, value)))
 
     def test_bounded_error_under_small_budget(self):
         # worst of 10 random adversaries at a tenth of the signal strength
