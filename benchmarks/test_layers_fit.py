@@ -9,16 +9,16 @@ loadings):
 - ``test_trace_product``: the T-vector trace(V' X_t V), by the planted basis.
 - ``test_eigen_block``: the V-update's eigen-block, ``_best_eigen_block`` of
   a fresh copy of the u-weighted slice sum at rank 3, as a fit runs it: with
-  ``np.linalg.eigh`` at p=300, and in place in one ``eigh_workspace`` at
-  p=1000. Its ``extra_info`` adds the bytes of the target (``target_bytes``)
-  and the ``tracemalloc`` peak of one untimed call that is handed its target
-  and allocates its own workspace (``tracemalloc_peak_bytes``). tracemalloc
-  counts numpy's arrays only: on the eigh path the eigenvector matrix eigh
-  returns, about one target, but never eigh's own copy of the target and
-  LAPACK work space; on the in-place path the workspace, which is a numpy
-  array of about two targets. So the p=1000 peak rose from about 1 to about
-  2 targets when the in-place path came in, while the memory the step holds
-  fell.
+  ``np.linalg.eigh`` at p=300, and in place at p=1000, where each timed call
+  also queries, allocates and frees its own LAPACK workspace. Its
+  ``extra_info`` adds the bytes of the target (``target_bytes``) and the
+  ``tracemalloc`` peak of one untimed call that is handed its target
+  (``tracemalloc_peak_bytes``). tracemalloc counts numpy's arrays only: on
+  the eigh path the eigenvector matrix eigh returns, about one target, but
+  never eigh's own copy of the target and LAPACK work space; on the in-place
+  path the workspace, which is a numpy array of about two targets. So the
+  p=1000 peak rose from about 1 to about 2 targets when the in-place path
+  came in, while the memory the step holds fell.
 - ``test_convergence_check``: ``sin_theta_frob`` of two p x 3 bases, the
   planted one and a small random rotation of it.
 
@@ -35,9 +35,8 @@ hold.
 import numpy as np
 import pytest
 
-from sstpca._parallel import ONE_BLAS_THREAD_MAX_P
 from sstpca.decompose import FitOptions, _best_eigen_block, fit_single_factor
-from sstpca.linalg import eigh_workspace, sin_theta_frob
+from sstpca.linalg import sin_theta_frob
 from sstpca.simulate import spike_model
 from sstpca.tensor import trace_product, ttv3
 
@@ -60,21 +59,14 @@ def test_trace_product(benchmark, spiked):
     assert x.shape == (T,)
 
 
-def _workspace(p):
-    """The eigensolver workspace a fit at p holds: None (np.linalg.eigh) up to p=500."""
-    return eigh_workspace(p) if p > ONE_BLAS_THREAD_MAX_P else None
-
-
 def test_eigen_block(benchmark, spiked):
     X, truth = spiked
     M = ttv3(X, truth.u_star)
-    workspace = _workspace(X.p)
-    assert (workspace is None) == (X.p == 300)
     V, _ = benchmark.pedantic(_best_eigen_block, rounds=_rounds(X.p),
-                              setup=lambda: ((M.copy(), R, False, workspace), {}))
+                              setup=lambda: ((M.copy(), R, False), {}))
     assert V.shape == (X.p, R)
     benchmark.extra_info["tracemalloc_peak_bytes"] = traced_peak(
-        lambda target: _best_eigen_block(target, R, False, _workspace(X.p)), M.copy())
+        lambda target: _best_eigen_block(target, R, False), M.copy())
     benchmark.extra_info["target_bytes"] = M.nbytes
 
 

@@ -10,12 +10,13 @@ the objective <X, V o V o u> never decreases across iterations.
 from __future__ import annotations
 
 import itertools
+import operator
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import ONE_BLAS_THREAD_MAX_P, _blas_hold_for
+from ._parallel import _blas_hold_for
 from .errors import (
     BudgetExceeded,
     DegenerateIterate,
@@ -25,7 +26,7 @@ from .errors import (
     SingularSmoother,
     ZeroVector,
 )
-from .linalg import ZERO_NORM_TOL, eigen_block, eigh_workspace, normalize, sin_theta_frob, sym
+from .linalg import ZERO_NORM_TOL, eigen_block, normalize, sin_theta_frob, sym
 from .tensor import SemiSymTensor, rank1_outer, trace_product, ttv3
 
 DEGENERATE_OPNORM_TOL = 1e-14
@@ -49,10 +50,10 @@ class Factor:
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Settings of one fit, checked when built: rank >= 1, tol > 0, max_iter >= 1
-    and a square, symmetric smoother with S >= I, else DimensionMismatch. `init` is
-    "stable" or a unit T-vector, such as `random_unit(T, rng)` for a random start;
-    other names raise InvalidGivenInit. Each fit checks rank <= p and a T x T smoother."""
+    """Settings of one fit, checked when built: integer rank >= 1 and max_iter >= 1,
+    tol > 0 and a finite, square, symmetric smoother with S >= I, else DimensionMismatch.
+    `init` is "stable" or a unit T-vector, such as `random_unit(T, rng)` for a random
+    start; other names raise InvalidGivenInit. Each fit checks rank <= p and a T x T smoother."""
 
     rank: int = 1
     max_iter: int = 200
@@ -62,6 +63,11 @@ class FitOptions:
     smoother: "np.ndarray | None" = None
 
     def __post_init__(self):
+        for name, value in (("rank", self.rank), ("max_iter", self.max_iter)):
+            try:
+                operator.index(value)
+            except TypeError:
+                raise DimensionMismatch(f"{name} must be an integer, got {value!r}") from None
         if self.rank < 1:
             raise DimensionMismatch(f"rank {self.rank} must be at least 1")
         if not self.tol > 0:
@@ -74,6 +80,8 @@ class FitOptions:
             S = np.asarray(self.smoother, dtype=np.float64)
             if S.ndim != 2 or S.shape[0] != S.shape[1]:
                 raise DimensionMismatch(f"smoother must be square, got {S.shape}")
+            if not np.isfinite(S).all():
+                raise DimensionMismatch("smoother has NaN or infinite entries")
             if np.abs(S - S.T).max() > 1e-8 * max(1.0, float(np.abs(S).max())):
                 raise DimensionMismatch("smoother must be symmetric")
             if np.linalg.eigvalsh(S).min() < 1.0 - 1e-8:
@@ -108,9 +116,8 @@ def init_u(init, T: int) -> np.ndarray:
     return u0.copy()
 
 
-def _best_eigen_block(
-    M: np.ndarray, r: int, eigen_scaled: bool = False, workspace=None
-) -> tuple[np.ndarray, np.ndarray]:
+def _best_eigen_block(M: np.ndarray, r: int,
+                      eigen_scaled: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvectors maximizing |trace(V' M V)| over orthonormal V.
 
     Takes whichever of the top-r or bottom-r algebraic eigenvalues has the
@@ -122,20 +129,15 @@ def _best_eigen_block(
     eigen-scaled mode the columns are multiplied by sqrt(|lam|), dropping
     orthonormality.
 
-    Consumes its target: M is symmetrized in place (the bits of `sym(M)`),
-    so the only p x p array held next to the eigensolver is M itself.
-    Callers pass a fresh C-contiguous array. With an `eigh_workspace`, sym(M)
-    is formed in the workspace's still unused head and copied back, and M is
-    eigensolved in place (`eigh`): no p x p array besides M and the
-    workspace. Raises DimensionMismatch when r > p.
+    Consumes its target: M is symmetrized in place (the bits of `sym(M)`;
+    numpy's copy of the overlapping M' is freed before the solve) and handed to
+    `eigh`, which above p = 500 solves it in place. Callers pass a fresh
+    C-contiguous array. Raises DimensionMismatch when r > p.
     """
     p = M.shape[0]
     if r > p:
         raise DimensionMismatch(f"rank {r} exceeds p={p}")
-    if workspace is None:
-        M = sym(M, out=M)
-    else:
-        M[...] = sym(M, out=workspace[0][: p * p].reshape(p, p))
+    M = sym(M, out=M)
     if max(M.max(), -M.min()) < DEGENERATE_OPNORM_TOL:
         raise DegenerateIterate("weighted slice sum is numerically zero")
 
@@ -143,7 +145,7 @@ def _best_eigen_block(
         top, bot = np.arange(w.shape[0] - r, w.shape[0]), np.arange(r)
         return top if w[top].sum() >= -w[bot].sum() else bot
 
-    V, lam = eigen_block(M, top_or_bottom, workspace)
+    V, lam = eigen_block(M, top_or_bottom)
     if eigen_scaled:
         V = V * np.sqrt(np.abs(lam))[None, :]
     return V, lam
@@ -191,7 +193,7 @@ def _v_change(V: np.ndarray, prev: "np.ndarray | None") -> tuple[float, np.ndarr
 
 def _alternate(X: SemiSymTensor, opts: FitOptions, v_step, u_step):
     """The alternating loop of `fit_single_factor` over its two steps:
-    `v_step(M, rank, eigen_scaled, workspace)` consumes the target ttv3(X, u) and
+    `v_step(M, rank, eigen_scaled)` consumes the target ttv3(X, u) and
     returns (V, lam); `u_step(x, smoother)` maps the trace-product x to u."""
     if opts.smoother is not None and np.shape(opts.smoother) != (X.T, X.T):
         raise DimensionMismatch(f"smoother must be {X.T} x {X.T}, got {np.shape(opts.smoother)}")
@@ -199,12 +201,11 @@ def _alternate(X: SemiSymTensor, opts: FitOptions, v_step, u_step):
         raise DegenerateIterate("input tensor is identically zero")
 
     diag = FitDiagnostics()
-    workspace = eigh_workspace(X.p) if X.p > ONE_BLAS_THREAD_MAX_P else None
     with _blas_hold_for(X.p):
         u, V_unit = init_u(opts.init, X.T), None
         for k in range(opts.max_iter):
             # The target goes straight in, so it is freed before trace_product allocates VV'.
-            V, _ = v_step(ttv3(X, u), opts.rank, opts.eigen_scaled, workspace)
+            V, _ = v_step(ttv3(X, u), opts.rank, opts.eigen_scaled)
             x = trace_product(X, V)
             try:
                 u_new = u_step(x, opts.smoother)
@@ -249,9 +250,8 @@ def fit_single_factor(X: SemiSymTensor, opts: FitOptions) -> tuple[Factor, FitDi
 
     At p <= 500 every BLAS call of the fit runs with OpenBLAS held at one
     thread, so the result does not depend on OPENBLAS_NUM_THREADS (`_parallel`).
-    Above 500 the fit holds one dsyevd workspace (`eigh_workspace`), freed when
-    it returns, and each V-step eigensolves its target in place, with the bits
-    of `np.linalg.eigh`; where no loaded OpenBLAS exports dsyevd, it calls eigh.
+    Above 500 each V-step eigensolves its target in place (`linalg.eigh`), with
+    the bits of `np.linalg.eigh`.
     """
     return _alternate(X, opts, _best_eigen_block, _loading)
 
@@ -273,7 +273,7 @@ def fit_adversarial(
     iteration = itertools.count()
     e_u = None
 
-    def v_step(M, r, eigen_scaled, workspace):
+    def v_step(M, r, eigen_scaled):
         nonlocal e_u
         E_V, e_u = adversary(next(iteration))
         E_V = np.asarray(E_V, dtype=np.float64)
@@ -290,7 +290,7 @@ def fit_adversarial(
         for name, size in (("E_V operator norm", opnorm), ("e_u norm", np.linalg.norm(e_u))):
             if size > noise_budget * (1.0 + 1e-12):
                 raise BudgetExceeded(f"{name} {size:.3e} exceeds budget {noise_budget:.3e}")
-        return _best_eigen_block(M + E_V if np.any(E_V) else M, r, eigen_scaled, workspace)
+        return _best_eigen_block(M + E_V if np.any(E_V) else M, r, eigen_scaled)
 
     def u_step(x, S):
         return _loading(x + e_u if np.any(e_u) else x, S)

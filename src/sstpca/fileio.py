@@ -242,14 +242,17 @@ def factor_to_dict(f: Factor) -> dict:
 
 def factor_from_dict(dct: dict) -> Factor:
     p, r = dct["p"], dct["r"]
-    V = np.asarray(dct["V"], dtype=np.float64).reshape(p, r)
-    return Factor(u=np.asarray(dct["u"], dtype=np.float64), V=V, d=float(dct["d"]))
+    V = np.asarray(dct["V"], dtype=np.float64)
+    if V.size != p * r:
+        raise ParseError(f"factor V has {V.size} entries, expected p*r = {p * r}")
+    return Factor(u=np.asarray(dct["u"], dtype=np.float64), V=V.reshape(p, r), d=float(dct["d"]))
 
 
 def load_factors(path) -> list:
-    """Factors back out of a decompose/changepoint results file."""
-    payload = json.loads(Path(path).read_text())
-    results = payload["results"]
+    """Factors back out of a decompose/changepoint results file, else ParseError."""
+    results = json.loads(Path(path).read_text()).get("results", {})
     if "factor" in results:
         return [factor_from_dict(results["factor"])]
+    if "factors" not in results:
+        raise ParseError(f"{Path(path).name}: holds no 'factor' or 'factors' results")
     return [factor_from_dict(d) for d in results["factors"]]

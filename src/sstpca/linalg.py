@@ -8,10 +8,12 @@ import functools
 import numpy as np
 
 from ._parallel import _openblas_function, _openblas_libraries
-from .errors import DimensionMismatch, InvalidParameter, NotSymmetric, RankTooLarge, ZeroVector
+from .errors import (DimensionMismatch, InvalidParameter, NonFiniteEntry, NotSymmetric,
+                     RankTooLarge, ZeroVector)
 
 ZERO_NORM_TOL = 1e-14
 STIEFEL_TOL = 1e-8
+NUMPY_EIGH_MAX_P = 500  # the largest p that `eigh` leaves to np.linalg.eigh
 
 
 def _columns(V: np.ndarray) -> np.ndarray:
@@ -50,54 +52,44 @@ def _dsyevd():
     return None
 
 
-def _call_dsyevd(n: int, A, w, work, lwork: int, iwork, liwork: int) -> int:
-    """dsyevd with jobz='V', uplo='L' on the n x n buffer A; returns its info.
-    lwork = liwork = -1 is the workspace query, which reads no matrix."""
-    fn, itype = _dsyevd()
-    n, lwork, liwork, info = (np.array(v, dtype=itype) for v in (n, lwork, liwork, 0))
-    fn(b"V", b"L", n.ctypes, A.ctypes, n.ctypes, w.ctypes, work.ctypes, lwork.ctypes,
-       iwork.ctypes, liwork.ctypes, info.ctypes, 1, 1)
-    return int(info)
+def _eigh_in_place(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bits of `np.linalg.eigh(A)` in A's own memory, by the loaded OpenBLAS's
+    dsyevd (jobz='V', uplo='L').
 
-
-def eigh_workspace(p: int) -> "tuple[np.ndarray, np.ndarray] | None":
-    """The (work, iwork) arrays of `eigh` in place on p x p matrices, or None
-    where no loaded OpenBLAS exports dsyevd.
-
-    Sized by dsyevd's workspace query, as numpy's eigh sizes its own, so both
-    take the same algorithm path. The work array holds at least p^2 doubles
-    (2p^2 + 6p + 1 or more for p > 1), room for a p x p scratch matrix before a call.
+    A is a C-contiguous float64 matrix that is exactly symmetric, so LAPACK reads
+    its buffer as A itself and overwrites it with the eigenvectors as its rows:
+    the returned eigenvector matrix is the view A.T. The workspace is sized by
+    dsyevd's query, as numpy's eigh sizes its own (so both take the same path),
+    and freed on return. Raises LinAlgError where the solver does not converge,
+    ValueError on any other layout.
     """
-    dsyevd = _dsyevd()
-    if dsyevd is None:
-        return None
-    work, iwork = np.zeros(1), np.zeros(1, dtype=dsyevd[1])
-    _call_dsyevd(p, work, work, work, -1, iwork, -1)
-    return np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=iwork.dtype)
-
-
-def eigh(A: np.ndarray, workspace=None) -> tuple[np.ndarray, np.ndarray]:
-    """`np.linalg.eigh(A)`; with a `workspace` from `eigh_workspace`, the same
-    bits in A's own memory.
-
-    In place, A is a C-contiguous float64 matrix that is exactly symmetric, so
-    LAPACK reads its buffer as A itself. OpenBLAS's dsyevd overwrites A with the
-    eigenvectors as its rows, so the returned eigenvector matrix is the view A.T.
-    Raises LinAlgError where the solver does not converge.
-    """
-    if workspace is None:
-        return np.linalg.eigh(A)
     if A.dtype != np.float64 or A.ndim != 2 or A.shape[0] != A.shape[1] \
             or not A.flags.c_contiguous:
         raise ValueError("eigh in place needs a square, C-contiguous float64 matrix")
-    work, iwork = workspace
-    w = np.empty(A.shape[0])
-    if _call_dsyevd(A.shape[0], A, w, work, work.size, iwork, iwork.size):
+    fn, itype = _dsyevd()
+    n, lwork, liwork, info = (np.array(v, dtype=itype) for v in (A.shape[0], -1, -1, 0))
+    w, work, iwork = np.empty(A.shape[0]), np.zeros(1), np.zeros(1, dtype=itype)
+    for _ in range(2):  # the workspace query (lwork = liwork = -1 reads no matrix), the solve
+        fn(b"V", b"L", n.ctypes, A.ctypes, n.ctypes, w.ctypes, work.ctypes, lwork.ctypes,
+           iwork.ctypes, liwork.ctypes, info.ctypes, 1, 1)
+        if lwork < 0:
+            lwork[...], liwork[...] = work[0], iwork[0]
+            work, iwork = np.empty(int(lwork)), np.empty(int(liwork), dtype=itype)
+    if info:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     return w, A.T
 
 
-def eigen_block(A: np.ndarray, pick, workspace=None) -> tuple[np.ndarray, np.ndarray]:
+def eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a symmetric float64 matrix A, which is consumed:
+    `np.linalg.eigh(A)` up to p = NUMPY_EIGH_MAX_P or where no loaded OpenBLAS
+    exports dsyevd, else the same bits in A's own memory (`_eigh_in_place`)."""
+    if A.shape[0] <= NUMPY_EIGH_MAX_P or _dsyevd() is None:
+        return np.linalg.eigh(A)
+    return _eigh_in_place(A)
+
+
+def eigen_block(A: np.ndarray, pick) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a symmetric matrix selected by `pick`.
 
     `pick(w)` maps the ascending eigenvalues to the indices to keep; the
@@ -105,9 +97,9 @@ def eigen_block(A: np.ndarray, pick, workspace=None) -> tuple[np.ndarray, np.nda
     Sign convention: the largest-magnitude entry of each eigenvector is
     positive (first such entry on exact ties), which makes the output
     deterministic including degenerate spectra. The basis is C-contiguous.
-    With a `workspace`, A is solved by `eigh` in place and overwritten.
+    A is consumed (`eigh`).
     """
-    w, Q = eigh(A, workspace)
+    w, Q = eigh(A)
     idx = pick(w)
     order = idx[np.argsort(-np.abs(w[idx]), kind="stable")]
     V = Q[:, order].copy()
@@ -128,8 +120,10 @@ def sym_eigen_top_r(A: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     p = A.shape[0]
     if not 1 <= r <= p:
         raise RankTooLarge(f"rank r={r} must lie in [1, {p}]")
-    scale = max(float(np.abs(A).max()), 1e-300)
-    if np.abs(A - A.T).max() > 1e-8 * scale:
+    scale = float(np.abs(A).max())
+    if not np.isfinite(scale):
+        raise NonFiniteEntry("matrix has NaN or infinite entries")
+    if np.abs(A - A.T).max() > 1e-8 * max(scale, 1e-300):
         raise NotSymmetric("matrix is not symmetric within tolerance")
     return eigen_block(sym(A), lambda w: np.argsort(-np.abs(w), kind="stable")[:r])
 

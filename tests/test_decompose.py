@@ -1,12 +1,11 @@
 import inspect
 import warnings
-import weakref
 
 import numpy as np
 import pytest
 
-from sstpca import decompose, fit_adversarial, linalg
-from sstpca._parallel import ONE_BLAS_THREAD_MAX_P, _single_threaded_blas, ordered_map
+from sstpca import fit_adversarial, linalg
+from sstpca._parallel import _single_threaded_blas, ordered_map
 from sstpca.changepoint import detect_changepoint
 from sstpca.decompose import (
     FitOptions,
@@ -27,7 +26,6 @@ from sstpca.errors import (
 )
 from sstpca.linalg import (
     eigen_block,
-    eigh_workspace,
     procrustes_aligned_rmse,
     random_stiefel,
     random_unit,
@@ -35,9 +33,10 @@ from sstpca.linalg import (
     sin_theta_frob,
     subspace_angle,
     sym,
+    sym_eigen_top_r,
 )
 from sstpca.simulate import goe_noise, spike_model
-from sstpca.tensor import SemiSymTensor, new_from_slices, rank1_outer, trace_product
+from sstpca.tensor import SemiSymTensor, new_from_slices, rank1_outer, trace_product, ttv3
 
 
 def noiseless_instance(rng, p=12, T=8, r=2, d=4.0):
@@ -83,13 +82,21 @@ class TestInitU:
 @pytest.mark.parametrize(
     "kwargs",
     [{"rank": 0}, {"tol": 0.0}, {"max_iter": 0}, {"smoother": np.eye(3)[:, :2]},
-     {"smoother": np.array([[2.0, 0.5], [0.0, 2.0]])}, {"smoother": 0.5 * np.eye(3)}],
+     {"smoother": np.array([[2.0, 0.5], [0.0, 2.0]])}, {"smoother": 0.5 * np.eye(3)},
+     {"smoother": np.full((3, 3), np.nan)}, {"smoother": np.diag([np.inf, 2.0, 2.0])},
+     {"rank": 2.5}, {"max_iter": 2.5}],
     ids=["rank-0", "tol-0", "max-iter-0", "smoother-not-square", "smoother-asymmetric",
-         "smoother-below-identity"],
+         "smoother-below-identity", "smoother-nan", "smoother-inf", "rank-not-integer",
+         "max-iter-not-integer"],
 )
 def test_fit_options_checked_when_built(kwargs):
     with pytest.raises(DimensionMismatch):
         FitOptions(**kwargs)
+
+
+def test_fit_options_accept_numpy_integers():
+    opts = FitOptions(rank=np.int64(2), max_iter=np.int32(5))
+    assert (opts.rank, opts.max_iter) == (2, 5)
 
 
 class TestVUpdate:
@@ -153,8 +160,8 @@ class TestBestEigenBlock:
 
 @pytest.fixture(scope="module")
 def spike501():
-    """An instance one node above the largest p whose fits keep np.linalg.eigh."""
-    X, _ = spike_model(ONE_BLAS_THREAD_MAX_P + 1, 4, 2, 30.0, 1.0, "sphere",
+    """An instance one node above the largest p that `linalg.eigh` leaves to numpy."""
+    X, _ = spike_model(linalg.NUMPY_EIGH_MAX_P + 1, 4, 2, 30.0, 1.0, "sphere",
                        np.random.default_rng(7))
     return X
 
@@ -169,11 +176,13 @@ def fit_bytes(X) -> bytes:
 class TestInPlaceVStep:
     @pytest.mark.parametrize("eigen_scaled", [False, True])
     @pytest.mark.parametrize("r", [1, 3])
-    def test_bits_of_the_eigh_step(self, r, eigen_scaled):
-        p = ONE_BLAS_THREAD_MAX_P + 1
+    def test_bits_of_the_eigh_step(self, r, eigen_scaled, monkeypatch):
+        p = linalg.NUMPY_EIGH_MAX_P + 1
         M = np.random.default_rng(r).standard_normal((p, p))
-        V_ref, lam_ref = _best_eigen_block(M.copy(), r, eigen_scaled)
-        V, lam = _best_eigen_block(M, r, eigen_scaled, eigh_workspace(p))
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_dsyevd", lambda: None)
+            V_ref, lam_ref = _best_eigen_block(M.copy(), r, eigen_scaled)
+        V, lam = _best_eigen_block(M, r, eigen_scaled)
         assert V.tobytes() == V_ref.tobytes() and V.flags.c_contiguous
         assert lam.tobytes() == lam_ref.tobytes()
 
@@ -197,23 +206,26 @@ class TestInPlaceVStep:
             serial = fit_bytes(spike501)
         assert ordered_map(fit_bytes, [spike501, spike501], 2) == [serial, serial]
 
-    def test_workspace_lives_only_as_long_as_the_fit(self, spike501, monkeypatch):
-        refs = []
-
-        def tracked(p):
-            workspace = eigh_workspace(p)
-            refs.extend(weakref.ref(a) for a in workspace)
-            return workspace
-
-        monkeypatch.setattr(decompose, "eigh_workspace", tracked)
-        fit_single_factor(spike501, FitOptions(rank=2))
-        assert len(refs) == 2 and all(ref() is None for ref in refs)
-
     def test_fits_up_to_p500_keep_numpy_eigh(self, monkeypatch):
-        monkeypatch.setattr(decompose, "eigh_workspace", lambda p: pytest.fail("workspace"))
-        X, _ = spike_model(ONE_BLAS_THREAD_MAX_P, 6, 1, 100.0, 1.0, "sphere",
+        monkeypatch.setattr(linalg, "_eigh_in_place", lambda A: pytest.fail("in place"))
+        X, _ = spike_model(linalg.NUMPY_EIGH_MAX_P, 6, 1, 100.0, 1.0, "sphere",
                            np.random.default_rng(8))
         assert fit_single_factor(X, FitOptions())[1].converged
+
+    @pytest.mark.parametrize("step", ["v_update", "sym_eigen_top_r"])
+    def test_public_steps_above_p500_give_numpy_eigh_bits(self, spike501, step, monkeypatch):
+        u = random_unit(spike501.T, np.random.default_rng(3))
+        run = {"v_update": lambda: v_update(spike501, u, 2),
+               "sym_eigen_top_r": lambda: sym_eigen_top_r(ttv3(spike501, u), 2)}[step]
+        calls = []
+        numpy_eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(A.shape) or numpy_eigh(A))
+        V, lam = run()
+        assert calls == []
+        monkeypatch.setattr(linalg, "_dsyevd", lambda: None)
+        V_ref, lam_ref = run()
+        assert len(calls) == 1
+        assert V.tobytes() == V_ref.tobytes() and lam.tobytes() == lam_ref.tobytes()
 
 
 class TestUUpdate:

@@ -11,6 +11,7 @@ from sstpca.fileio import (
     canonical_json,
     factor_from_dict,
     factor_to_dict,
+    load_factors,
     load_tensor,
     write_long_csv,
 )
@@ -274,6 +275,23 @@ class TestSerialization:
         assert np.array_equal(back.u, f.u)
         assert np.array_equal(back.V, f.V)
         assert back.d == f.d
+
+    @pytest.mark.parametrize("payload", [{"results": {"detection_snr": 1.0}}, {"seed": 0}],
+                             ids=["simulate-result", "no-results"])
+    def test_load_factors_without_factors(self, tmp_path, payload):
+        path = tmp_path / "sim.json"
+        path.write_text(canonical_json(payload))
+        with pytest.raises(ParseError, match="sim.json: holds no 'factor' or 'factors' results"):
+            load_factors(path)
+
+    def test_load_factors_with_v_not_p_by_r(self, tmp_path):
+        rng = np.random.default_rng(2)
+        dct = factor_to_dict(Factor(u=random_unit(5, rng), V=random_stiefel(7, 2, rng), d=1.0))
+        dct["V"] = dct["V"][:-1]
+        path = tmp_path / "fit.json"
+        path.write_text(canonical_json({"results": {"factors": [dct]}}))
+        with pytest.raises(ParseError, match="factor V has 13 entries, expected p\\*r = 14"):
+            load_factors(path)
 
     def test_canonical_json_handles_numpy(self):
         payload = {"a": np.float64(1.5), "b": np.int64(3), "c": np.arange(3)}

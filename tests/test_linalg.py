@@ -3,10 +3,9 @@ import pytest
 
 from sstpca import linalg
 from sstpca._parallel import _openblas_controls
-from sstpca.errors import DimensionMismatch, NotSymmetric, RankTooLarge, ZeroVector
+from sstpca.errors import DimensionMismatch, NonFiniteEntry, NotSymmetric, RankTooLarge, ZeroVector
 from sstpca.linalg import (
     eigh,
-    eigh_workspace,
     is_orthonormal,
     normalize,
     principal_angles,
@@ -63,6 +62,13 @@ class TestSymEigen:
         with pytest.raises(NotSymmetric):
             sym_eigen_top_r(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
 
+    @pytest.mark.parametrize("A", [np.full((3, 3), np.nan), np.diag([np.inf, 1.0, 1.0])],
+                             ids=["nan", "inf-diagonal"])
+    def test_non_finite(self, A):
+        # inf - inf is NaN, so an infinite diagonal passes the symmetry test
+        with pytest.raises(NonFiniteEntry, match="NaN or infinite"):
+            sym_eigen_top_r(A, 1)
+
     def test_rank_too_large(self):
         with pytest.raises(RankTooLarge):
             sym_eigen_top_r(np.eye(3), 4)
@@ -85,7 +91,8 @@ class TestEighInPlace:
     @pytest.mark.parametrize("p", [500, 501, 700])
     @pytest.mark.parametrize("kind", ["random", "fit-target"])
     def test_bits_of_numpy_eigh(self, p, kind, blas_threads):
-        # p=500 is the largest p whose fits keep np.linalg.eigh; above it they solve in place.
+        # p=500 is the largest p that eigh leaves to np.linalg.eigh; above it, in place.
+        assert linalg.NUMPY_EIGH_MAX_P == 500
         rng = np.random.default_rng(p)
         if kind == "random":
             A = sym(rng.standard_normal((p, p)))
@@ -93,16 +100,16 @@ class TestEighInPlace:
             X, truth = spike_model(p, 4, 2, 30.0, 1.0, "sphere", rng)
             A = sym(ttv3(X, truth.u_star))
         w_ref, Q_ref = np.linalg.eigh(A)
-        w, Q = eigh(A, eigh_workspace(p))
+        w, Q = eigh(A)
         assert w.tobytes() == w_ref.tobytes()
         assert np.ascontiguousarray(Q).tobytes() == Q_ref.tobytes()
-        assert np.shares_memory(Q, A)
+        assert np.shares_memory(Q, A) == (p > 500)
 
     @pytest.mark.parametrize("p", [1, 2, 7])
     def test_small_p(self, p):
         A = sym(np.random.default_rng(p).standard_normal((p, p)))
         w_ref, Q_ref = np.linalg.eigh(A)
-        w, Q = eigh(A.copy(), eigh_workspace(p))
+        w, Q = linalg._eigh_in_place(A.copy())
         assert w.tobytes() == w_ref.tobytes() and np.array_equal(Q, Q_ref)
 
     @pytest.mark.parametrize("layout", ["fortran", "strided", "float32", "non-square"])
@@ -111,19 +118,24 @@ class TestEighInPlace:
         A = {"fortran": np.asfortranarray(A), "strided": A[::2, ::2],
              "float32": A.astype(np.float32), "non-square": A[:2]}[layout]
         with pytest.raises(ValueError, match="square, C-contiguous float64"):
-            eigh(A, eigh_workspace(4))
+            linalg._eigh_in_place(A)
 
     def test_nan_entries_raise_lin_alg_error(self):
         A = np.full((5, 5), np.nan)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.eigh(A)
         with pytest.raises(np.linalg.LinAlgError):
-            eigh(A, eigh_workspace(5))
+            linalg._eigh_in_place(A)
 
 
-def test_no_workspace_where_no_openblas_exports_dsyevd(monkeypatch):
+def test_numpy_eigh_where_no_openblas_exports_dsyevd(monkeypatch):
+    calls = []
+    numpy_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(A.shape) or numpy_eigh(A))
     monkeypatch.setattr(linalg, "_dsyevd", lambda: None)
-    assert eigh_workspace(600) is None
+    A = sym(np.random.default_rng(600).standard_normal((600, 600)))
+    w, Q = eigh(A)
+    assert calls == [(600, 600)] and not np.shares_memory(Q, A)
 
 
 class TestNormalize:
