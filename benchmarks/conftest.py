@@ -1,12 +1,12 @@
 """Shared fixtures and helpers of the layer benchmarks.
 
-Every case pins every loaded OpenBLAS to its own thread count: one thread,
+Every case pins numpy's OpenBLAS to its own thread count: one thread,
 or n where the case id says ``<n>blas``. The module-scoped inputs are drawn
 at one thread as well, so no start-up ``OPENBLAS_NUM_THREADS`` changes a
-number. The counts of the process are restored at the end of the run.
+number. The count of the process is restored at the end of the run.
 sstpca is imported before numpy, so OpenBLAS runs under the package's idle
 policy (``OPENBLAS_THREAD_TIMEOUT``, see ``sstpca._parallel``), and the run
-stops where the loaded library reports another value.
+stops where numpy's OpenBLAS reports another value.
 """
 
 import os
@@ -15,7 +15,7 @@ import time
 import tracemalloc
 
 # sstpca before numpy: its idle policy must be set when numpy loads OpenBLAS.
-from sstpca._parallel import _openblas_controls, _openblas_thread_timeouts
+from sstpca._parallel import _openblas_controls, _openblas_thread_timeout
 
 import numpy as np
 import pytest
@@ -30,31 +30,29 @@ SEED = 20220209
 
 
 def pytest_configure(config):
-    if not _openblas_controls():
-        raise pytest.UsageError("no OpenBLAS thread control found: the cases cannot pin "
-                                "their BLAS thread count")
+    if _openblas_controls() is None:
+        raise pytest.UsageError("numpy's OpenBLAS has no thread control: the cases cannot "
+                                "pin their BLAS thread count")
     policy = int(os.environ["OPENBLAS_THREAD_TIMEOUT"])
-    timeouts = _openblas_thread_timeouts()
-    if timeouts and timeouts != [policy] * len(timeouts):
-        raise pytest.UsageError(f"OpenBLAS read OPENBLAS_THREAD_TIMEOUT={timeouts}, not "
+    timeout = _openblas_thread_timeout()
+    if timeout is not None and timeout != policy:
+        raise pytest.UsageError(f"OpenBLAS read OPENBLAS_THREAD_TIMEOUT={timeout}, not "
                                 f"{policy}: numpy loaded it before sstpca was imported")
 
 
 def _set_blas_threads(n):
-    controls = _openblas_controls()
-    for _, set_ in controls:
-        set_(n)
-    assert [get() for get, _ in controls] == [n] * len(controls)
+    get, set_ = _openblas_controls()
+    set_(n)
+    assert get() == n
 
 
 @pytest.fixture(scope="session", autouse=True)
 def _one_blas_thread():
-    """One OpenBLAS thread from the first fixture on; the start-up counts after the run."""
-    saved = [get() for get, _ in _openblas_controls()]
+    """One OpenBLAS thread from the first fixture on; the start-up count after the run."""
+    saved = _openblas_controls()[0]()
     _set_blas_threads(1)
     yield
-    for (_, set_), n in zip(_openblas_controls(), saved):
-        set_(n)
+    _set_blas_threads(saved)
 
 
 @pytest.fixture(autouse=True)

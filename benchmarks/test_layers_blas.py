@@ -2,7 +2,7 @@
 one and at two OpenBLAS threads.
 
 ``test_eigh[p<p>-<n>blas]`` times a full ``np.linalg.eigh`` of one symmetric
-p x p matrix, p in {100, 300, 500, 1000}, with every loaded OpenBLAS set to n
+p x p matrix, p in {100, 300, 500, 1000}, with numpy's OpenBLAS set to n
 threads (the ``blas_threads`` fixture of ``conftest.py``). Each case reports
 min and median wall time over its rounds; its ``extra_info`` adds the process
 CPU time of each call (``cpu_min_s``, ``cpu_median_s``), which also counts the

@@ -24,7 +24,7 @@ loadings):
 
 ``test_small_fit[<p>-<n>blas]`` times a whole ``fit_single_factor`` at each
 of perfbench sweep-small's p values (20, 60, 100), T=50, rank 1, d=30,
-sigma=1, positive loadings, stable start, with every loaded OpenBLAS set to n
+sigma=1, positive loadings, stable start, with numpy's OpenBLAS set to n
 threads; at 2 the fit runs as it does outside any enclosing hold in a process
 started with OPENBLAS_NUM_THREADS=2. Its ``extra_info`` adds the process CPU time
 of each call (``cpu_min_s``, ``cpu_median_s``), which also counts the BLAS

@@ -6,10 +6,10 @@ per step for its candidate ranks. It owns the rules of pooled fits, so its
 callers repeat none: results keep submission order; library warnings are
 ignored on the calling thread, serial or pooled, because warning filters are
 process-wide and workers must not touch them; and while it runs on two or
-more workers, every loaded OpenBLAS is held at one thread, so each worker
-runs its LAPACK calls on its own core instead of competing with BLAS helper
+more workers, numpy's OpenBLAS is held at one thread, so each worker runs
+its LAPACK calls on its own core instead of competing with BLAS helper
 threads, and the results equal those of a serial run with one BLAS thread,
-bit for bit, for any worker count.
+bit for bit, for any worker count. No other BLAS library is touched.
 
 Outside a pool, `_blas_hold_for(p)` sets the thread policy of a fit on a
 p-node network: at p <= ONE_BLAS_THREAD_MAX_P (500) the fit runs under the
@@ -82,78 +82,68 @@ def _openblas_function(lib, name: str):
 
 
 @functools.cache
-def _openblas_libraries() -> tuple:
-    """Every OpenBLAS loaded in this process, as ctypes libraries.
-
-    Found once per process, by file name in /proc/self/maps: empty where that
-    file does not exist or the BLAS is not OpenBLAS, and blind to a library
-    loaded after the first call (sstpca loads only numpy's OpenBLAS).
-    """
+def _numpy_openblas():
+    """numpy's OpenBLAS: numpy's loaded linalg extension as a ctypes library, whose
+    symbol lookup also searches the libraries it links, so it finds the OpenBLAS
+    that runs np.linalg.eigh and no other. None where that BLAS has no
+    openblas_get_num_threads or the extension cannot be opened. Imported on the
+    first call, not at module import (see the module docstring)."""
     try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line}
-    except OSError:
-        return ()
-    libs = []
-    for path in sorted(paths):
-        if "openblas" not in os.path.basename(path):
-            continue
-        try:
-            libs.append(ctypes.CDLL(path))
-        except OSError:
-            continue
-    return tuple(libs)
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return None
+    return lib if _openblas_function(lib, "openblas_get_num_threads") is not None else None
 
 
 @functools.cache
-def _openblas_controls() -> tuple:
-    """(get, set) thread-count functions of every loaded OpenBLAS that has both."""
-    controls = []
-    for lib in _openblas_libraries():
-        get = _openblas_function(lib, "openblas_get_num_threads")
-        set_ = _openblas_function(lib, "openblas_set_num_threads")
-        if get is not None and set_ is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            controls.append((get, set_))
-    return tuple(controls)
+def _openblas_controls():
+    """(get, set) thread-count functions of numpy's OpenBLAS, or None where it lacks one."""
+    lib = _numpy_openblas()
+    set_ = None if lib is None else _openblas_function(lib, "openblas_set_num_threads")
+    if set_ is None:
+        return None
+    get = _openblas_function(lib, "openblas_get_num_threads")
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
 
 
-def _openblas_thread_timeouts() -> list:
-    """OPENBLAS_THREAD_TIMEOUT as each loaded OpenBLAS with a getter read it at
-    load, 0 where it was unset; empty where no library exports the getter."""
-    getters = (_openblas_function(lib, "openblas_thread_timeout") for lib in _openblas_libraries())
-    return [get() for get in getters if get is not None]
+def _openblas_thread_timeout() -> "int | None":
+    """OPENBLAS_THREAD_TIMEOUT as numpy's OpenBLAS read it at load, 0 where it was
+    unset; None where it exports no getter."""
+    lib = _numpy_openblas()
+    get = None if lib is None else _openblas_function(lib, "openblas_thread_timeout")
+    return None if get is None else get()
 
 
 class _SingleThreadedBlas:
-    """Hold every loaded OpenBLAS at one thread while any pool runs.
+    """Hold numpy's OpenBLAS at one thread while any pool runs.
 
     The thread count is global to the process, so overlapping pools share
-    one hold: the first to enter saves the counts and sets them to 1, the
-    last to leave restores them.
+    one hold: the first to enter saves the count and sets it to 1, the
+    last to leave restores it.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._holders = 0
-        self._saved = []  # (set, previous count) pairs
+        self._saved = None  # the count before the latest hold
 
     def __enter__(self):
         with self._lock:
-            if self._holders == 0:
-                self._saved = [(set_, get()) for get, set_ in _openblas_controls()]
-                for set_, _ in self._saved:
-                    set_(1)
+            controls = _openblas_controls()
+            if self._holders == 0 and controls is not None:
+                get, set_ = controls
+                self._saved = get()
+                set_(1)
             self._holders += 1
 
     def __exit__(self, *exc):
         with self._lock:
             self._holders -= 1
-            if self._holders == 0:
-                for set_, previous in self._saved:
-                    set_(previous)
-                self._saved = []
+            if self._holders == 0 and self._saved is not None:
+                _openblas_controls()[1](self._saved)
 
 
 _single_threaded_blas = _SingleThreadedBlas()

@@ -50,15 +50,17 @@ def cusum_tensor(X: SemiSymTensor) -> SemiSymTensor:
 def detect_changepoint(
     X: SemiSymTensor, r: int, opts: FitOptions = FitOptions()
 ) -> ChangepointResult:
-    """Locate the most likely single mean shift in a slice series; from the
-    CUSUM tensor on, every BLAS call runs under the fit's hold (`_parallel`)."""
+    """Locate the most likely single mean shift in a slice series; the options
+    are checked first, and from the CUSUM tensor on, every BLAS call runs under
+    the fit's hold (`_parallel`)."""
+    fit_opts = replace(opts, rank=r)
     if X.T < 3:
         raise TooFewSlices(f"need at least 3 slices, got T={X.T}")
     with _blas_hold_for(X.p):
         C = cusum_tensor(X)
         if frob_norm(C) < 1e-12 * frob_norm(X):
             raise DegenerateSeries("cumulative-sum tensor is numerically zero")
-        factor, diag = fit_single_factor(C, replace(opts, rank=r))
+        factor, diag = fit_single_factor(C, fit_opts)
     scores = np.abs(factor.u)
     tau_hat = int(np.argmax(scores)) + 1  # argmax takes the earliest tie
     return ChangepointResult(

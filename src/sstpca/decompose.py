@@ -32,6 +32,14 @@ from .tensor import SemiSymTensor, rank1_outer, trace_product, ttv3
 DEGENERATE_OPNORM_TOL = 1e-14
 
 
+def _check_integer(name: str, value) -> None:
+    """DimensionMismatch unless value is an integer; numpy integers pass."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise DimensionMismatch(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass
 class Factor:
     """One fitted component: unit loading u, network basis V, scale d.
@@ -64,10 +72,7 @@ class FitOptions:
 
     def __post_init__(self):
         for name, value in (("rank", self.rank), ("max_iter", self.max_iter)):
-            try:
-                operator.index(value)
-            except TypeError:
-                raise DimensionMismatch(f"{name} must be an integer, got {value!r}") from None
+            _check_integer(name, value)
         if self.rank < 1:
             raise DimensionMismatch(f"rank {self.rank} must be at least 1")
         if not self.tol > 0:

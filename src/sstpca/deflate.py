@@ -147,7 +147,7 @@ def fit_multi(
     `_parallel`), so the decomposition does not depend on OPENBLAS_NUM_THREADS.
     """
     _check_scheme(scheme)
-    per_factor = [replace(opts, rank=int(r)) for r in ranks]
+    per_factor = [replace(opts, rank=r) for r in ranks]
     if not per_factor:
         raise DimensionMismatch("need at least one rank")
 

@@ -7,7 +7,7 @@ import functools
 
 import numpy as np
 
-from ._parallel import _openblas_function, _openblas_libraries
+from ._parallel import _numpy_openblas, _openblas_function
 from .errors import (DimensionMismatch, InvalidParameter, NonFiniteEntry, NotSymmetric,
                      RankTooLarge, ZeroVector)
 
@@ -39,21 +39,21 @@ def sym(A: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
 
 @functools.cache
 def _dsyevd():
-    """(LAPACK dsyevd of the loaded OpenBLAS, its integer dtype), or None where no
-    loaded OpenBLAS exports it. A ``64_`` symbol suffix means 64-bit integers."""
-    for lib in _openblas_libraries():
-        fn = _openblas_function(lib, "dsyevd_")
-        if fn is not None:
-            # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, and the
-            # hidden lengths of the two character arguments (gfortran's convention).
-            fn.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 9 + [ctypes.c_size_t] * 2
-            fn.restype = None
-            return fn, np.int64 if fn.__name__.endswith("64_") else np.int32
-    return None
+    """(LAPACK dsyevd of numpy's OpenBLAS, its integer dtype), or None where there is
+    none. A ``64_`` symbol suffix means 64-bit integers."""
+    lib = _numpy_openblas()
+    fn = None if lib is None else _openblas_function(lib, "dsyevd_")
+    if fn is None:
+        return None
+    # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, and the
+    # hidden lengths of the two character arguments (gfortran's convention).
+    fn.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 9 + [ctypes.c_size_t] * 2
+    fn.restype = None
+    return fn, np.int64 if fn.__name__.endswith("64_") else np.int32
 
 
 def _eigh_in_place(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The bits of `np.linalg.eigh(A)` in A's own memory, by the loaded OpenBLAS's
+    """The bits of `np.linalg.eigh(A)` in A's own memory, by numpy's OpenBLAS's
     dsyevd (jobz='V', uplo='L').
 
     A is a C-contiguous float64 matrix that is exactly symmetric, so LAPACK reads
@@ -82,8 +82,8 @@ def _eigh_in_place(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a symmetric float64 matrix A, which is consumed:
-    `np.linalg.eigh(A)` up to p = NUMPY_EIGH_MAX_P or where no loaded OpenBLAS
-    exports dsyevd, else the same bits in A's own memory (`_eigh_in_place`)."""
+    `np.linalg.eigh(A)` up to p = NUMPY_EIGH_MAX_P or where numpy's OpenBLAS
+    exports no dsyevd, else the same bits in A's own memory (`_eigh_in_place`)."""
     if A.shape[0] <= NUMPY_EIGH_MAX_P or _dsyevd() is None:
         return np.linalg.eigh(A)
     return _eigh_in_place(A)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._parallel import _blas_hold_for, ordered_map, resolve_threads
-from .decompose import Factor, FitOptions, fit_single_factor
+from .decompose import Factor, FitOptions, _check_integer, fit_single_factor
 from .deflate import _check_scheme, deflate
 from .errors import DimensionMismatch, SSTPCAError
 from .tensor import SemiSymTensor, _as_data, factor_inner, trace_product
@@ -79,6 +79,8 @@ def rank_select_bic(
     with OpenBLAS held at one thread (see `_parallel`), so it does not depend
     on OPENBLAS_NUM_THREADS either.
     """
+    for name, value in (("r_max", r_max), ("K_max", K_max)):
+        _check_integer(name, value)
     if r_max < 1 or r_max > X.p:
         raise DimensionMismatch(f"r_max={r_max} must lie in [1, {X.p}]")
     if K_max < 1:

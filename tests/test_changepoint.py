@@ -3,9 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
+from sstpca import changepoint
 from sstpca.changepoint import cusum_tensor, detect_changepoint, detection_snr
 from sstpca.decompose import FitOptions
-from sstpca.errors import DegenerateSeries, TooFewSlices
+from sstpca.errors import DegenerateSeries, DimensionMismatch, TooFewSlices
 from sstpca.linalg import sign_aligned_error, sym
 from sstpca.simulate import shift_model
 from sstpca.tensor import SemiSymTensor, new_from_slices
@@ -126,6 +127,15 @@ class TestDetect:
         X = constant_series(T=2)
         with pytest.raises(TooFewSlices):
             detect_changepoint(X, 1)
+
+    @pytest.mark.parametrize("r, message", [(0, "rank 0 must be at least 1"),
+                                            (2.5, "rank must be an integer, got 2.5")])
+    def test_bad_rank_raises_before_the_cusum_tensor(self, monkeypatch, r, message):
+        calls = []
+        monkeypatch.setattr(changepoint, "cusum_tensor", lambda X: calls.append(X))
+        with pytest.raises(DimensionMismatch, match=message):
+            detect_changepoint(shift_series(5, T=10), r)
+        assert calls == []
 
     def test_rank2_shift(self):
         X, _, _ = shift_model(12, 10, 2, 8.0, 0.0, 5, np.random.default_rng(7))

@@ -172,7 +172,7 @@ def fit_bytes(X) -> bytes:
                     for a in (f.u, f.V, f.d, diag.objective, diag.u_change))
 
 
-@pytest.mark.skipif(linalg._dsyevd() is None, reason="no loaded OpenBLAS exports dsyevd")
+@pytest.mark.skipif(linalg._dsyevd() is None, reason="numpy's OpenBLAS exports no dsyevd")
 class TestInPlaceVStep:
     @pytest.mark.parametrize("eigen_scaled", [False, True])
     @pytest.mark.parametrize("r", [1, 3])

@@ -253,9 +253,20 @@ class TestFitMulti:
         monkeypatch.setattr(importlib.import_module("sstpca.deflate"), "fit_single_factor",
                             counting_fit)
         X = random_instance(3)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match="rank 0 must be at least 1"):
             fit_multi(X, [3, 0])
+        for rank in (2.5, 2.0):  # not truncated to a rank-2 fit
+            with pytest.raises(DimensionMismatch, match=f"rank must be an integer, got {rank}"):
+                fit_multi(X, [rank])
         assert calls == []
+
+    def test_numpy_integer_ranks_fit_as_ints(self):
+        X = random_instance(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ints, numpy_ints = fit_multi(X, [2, 1]), fit_multi(X, np.array([2, 1]))
+        for f, g in zip(ints.factors, numpy_ints.factors, strict=True):
+            assert np.array_equal(f.V, g.V) and np.array_equal(f.u, g.u) and f.d == g.d
 
     def test_nonmonotone_scale_warns(self):
         # second factor is stronger than the first in this construction

@@ -76,17 +76,15 @@ class TestSymEigen:
 
 @pytest.fixture(params=[1, 2], ids=["1blas", "2blas"])
 def blas_threads(request):
-    """Every loaded OpenBLAS at request.param threads for the test."""
-    controls = _openblas_controls()
-    saved = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(request.param)
+    """numpy's OpenBLAS at request.param threads for the test."""
+    get, set_ = _openblas_controls()
+    saved = get()
+    set_(request.param)
     yield request.param
-    for (_, set_), n in zip(controls, saved):
-        set_(n)
+    set_(saved)
 
 
-@pytest.mark.skipif(linalg._dsyevd() is None, reason="no loaded OpenBLAS exports dsyevd")
+@pytest.mark.skipif(linalg._dsyevd() is None, reason="numpy's OpenBLAS exports no dsyevd")
 class TestEighInPlace:
     @pytest.mark.parametrize("p", [500, 501, 700])
     @pytest.mark.parametrize("kind", ["random", "fit-target"])

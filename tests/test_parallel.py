@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ from sstpca import cli, decompose
 from sstpca._parallel import (
     _blas_hold_for,
     _openblas_controls,
-    _openblas_thread_timeouts,
+    _openblas_thread_timeout,
     ordered_map,
     resolve_threads,
 )
@@ -26,37 +27,35 @@ from sstpca.tensor import SemiSymTensor, ttv3
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-needs_openblas = pytest.mark.skipif(not _openblas_controls(),
-                                    reason="no OpenBLAS thread control found")
+needs_openblas = pytest.mark.skipif(_openblas_controls() is None,
+                                    reason="numpy's OpenBLAS has no thread control")
 
 
-def blas_threads() -> list:
-    return [get() for get, _ in _openblas_controls()]
+def blas_threads() -> int:
+    return _openblas_controls()[0]()
 
 
 @pytest.fixture()
-def n_libs():
-    """Number of loaded OpenBLAS libraries, each set to 2 threads for the test
-    so that a restored count differs from the cap."""
-    controls = _openblas_controls()
-    saved = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(2)
+def two_blas_threads():
+    """numpy's OpenBLAS set to 2 threads for the test, so that a restored count
+    differs from the cap."""
+    get, set_ = _openblas_controls()
+    saved = get()
+    set_(2)
     try:
-        yield len(controls)
+        yield
     finally:
-        for (_, set_), n in zip(controls, saved):
-            set_(n)
+        set_(saved)
 
 
 @needs_openblas
-def test_pool_holds_blas_at_one_thread_and_restores(n_libs):
-    assert ordered_map(lambda _: blas_threads(), range(4), 2) == [[1] * n_libs] * 4
-    assert blas_threads() == [2] * n_libs
+def test_pool_holds_blas_at_one_thread_and_restores(two_blas_threads):
+    assert ordered_map(lambda _: blas_threads(), range(4), 2) == [1] * 4
+    assert blas_threads() == 2
 
 
 @needs_openblas
-def test_pool_restores_blas_threads_when_fn_raises(n_libs):
+def test_pool_restores_blas_threads_when_fn_raises(two_blas_threads):
     def fail(i):
         if i == 2:
             raise ZeroDivisionError
@@ -64,18 +63,18 @@ def test_pool_restores_blas_threads_when_fn_raises(n_libs):
 
     with pytest.raises(ZeroDivisionError):
         ordered_map(fail, range(4), 2)
-    assert blas_threads() == [2] * n_libs
+    assert blas_threads() == 2
 
 
 @needs_openblas
 @pytest.mark.parametrize("n_threads, n_items", [(1, 4), (2, 1)], ids=["serial", "one-item"])
-def test_serial_path_leaves_blas_threads_alone(n_libs, n_threads, n_items):
+def test_serial_path_leaves_blas_threads_alone(two_blas_threads, n_threads, n_items):
     seen = ordered_map(lambda _: blas_threads(), range(n_items), n_threads)
-    assert seen == [[2] * n_libs] * n_items
+    assert seen == [2] * n_items
 
 
 @needs_openblas
-def test_overlapping_pools_share_one_hold(n_libs):
+def test_overlapping_pools_share_one_hold(two_blas_threads):
     """Pool A starts, pool B starts, A ends, B ends: B stays capped and the
     count is back at 2 only after both."""
     b_running, a_done = threading.Event(), threading.Event()
@@ -97,8 +96,8 @@ def test_overlapping_pools_share_one_hold(n_libs):
     a_done.set()
     b.join(30)
     assert not b.is_alive()
-    assert seen_in_b == [[1] * n_libs] * 2
-    assert blas_threads() == [2] * n_libs
+    assert seen_in_b == [1] * 2
+    assert blas_threads() == 2
 
 
 def _warn_then(fail_at: "int | None"):
@@ -127,14 +126,14 @@ def test_pool_swallows_warnings_and_restores_filters(n_threads, fail_at):
 
 @needs_openblas
 @pytest.mark.parametrize("p, held", [(500, True), (501, False)], ids=["p500", "p501"])
-def test_fit_policy_holds_blas_at_one_thread_up_to_p500(n_libs, p, held):
+def test_fit_policy_holds_blas_at_one_thread_up_to_p500(two_blas_threads, p, held):
     with _blas_hold_for(p):
-        assert blas_threads() == [1 if held else 2] * n_libs
-    assert blas_threads() == [2] * n_libs
+        assert blas_threads() == (1 if held else 2)
+    assert blas_threads() == 2
 
 
 @needs_openblas
-def test_fit_restores_blas_threads_when_it_raises(n_libs, monkeypatch):
+def test_fit_restores_blas_threads_when_it_raises(two_blas_threads, monkeypatch):
     """Slices A and -A weighted by the stable start sum to zero, so the first
     V-update raises DegenerateIterate inside the fit's hold."""
     seen = []
@@ -148,12 +147,13 @@ def test_fit_restores_blas_threads_when_it_raises(n_libs, monkeypatch):
     X = SemiSymTensor(np.stack([A + A.T, -(A + A.T)], axis=2))
     with pytest.raises(DegenerateIterate):
         decompose.fit_single_factor(X, decompose.FitOptions())
-    assert seen == [[1] * n_libs]
-    assert blas_threads() == [2] * n_libs
+    assert seen == [1]
+    assert blas_threads() == 2
 
 
 @needs_openblas
-def test_no_tensor_norm_of_a_fit_or_changepoint_runs_outside_the_hold(n_libs, monkeypatch):
+def test_no_tensor_norm_of_a_fit_or_changepoint_runs_outside_the_hold(two_blas_threads,
+                                                                        monkeypatch):
     """At p=150 every numpy.linalg.norm of a 3-way array, a p^2 T BLAS
     reduction, runs at one OpenBLAS thread: the fit takes none, and
     detect_changepoint takes its two CUSUM norms under its hold."""
@@ -162,7 +162,7 @@ def test_no_tensor_norm_of_a_fit_or_changepoint_runs_outside_the_hold(n_libs, mo
 
     def spy_norm(x, *args, **kwargs):
         if np.ndim(x) == 3:
-            seen.append(tuple(blas_threads()))
+            seen.append(blas_threads())
         return real_norm(x, *args, **kwargs)
 
     X, _ = spike_model(150, 20, 1, 30.0, 1.0, "positive", np.random.default_rng(3))
@@ -173,16 +173,16 @@ def test_no_tensor_norm_of_a_fit_or_changepoint_runs_outside_the_hold(n_libs, mo
         fit_seen = seen.copy()
         seen.clear()
         detect_changepoint(X, 1, decompose.FitOptions(max_iter=5))
-    assert all(rec == (1,) * n_libs for rec in fit_seen), fit_seen
-    assert seen and all(rec == (1,) * n_libs for rec in seen), seen
-    assert blas_threads() == [2] * n_libs
+    assert all(rec == 1 for rec in fit_seen), fit_seen
+    assert seen and all(rec == 1 for rec in seen), seen
+    assert blas_threads() == 2
 
 
 @needs_openblas
 @pytest.mark.parametrize("p, held", [(300, True), (501, False)], ids=["p300", "p501"])
 @pytest.mark.parametrize("preset, name", [("shift", "shift_model"), ("shift", "detection_snr"),
                                           ("spike", "spike_model")])
-def test_simulate_instance_runs_under_the_fit_policy(n_libs, monkeypatch, tmp_path,
+def test_simulate_instance_runs_under_the_fit_policy(two_blas_threads, monkeypatch, tmp_path,
                                                      p, held, preset, name):
     """The instance presets draw under `_blas_hold_for(p)`, so at p <= 500 the
     draw, and the shift preset's detection_snr with its eigvalsh, run on one
@@ -198,27 +198,81 @@ def test_simulate_instance_runs_under_the_fit_policy(n_libs, monkeypatch, tmp_pa
     result = CliRunner().invoke(main, ["simulate", "--preset", preset, "--p", str(p), "--t", "4",
                                        "--output", str(tmp_path / "out.json")])
     assert result.exit_code == 0, result.output
-    assert seen == [[1 if held else 2] * n_libs]
-    assert blas_threads() == [2] * n_libs
+    assert seen == [1 if held else 2]
+    assert blas_threads() == 2
 
 
-@pytest.mark.skipif(not _openblas_thread_timeouts(),
-                    reason="no OpenBLAS exports openblas_thread_timeout")
+@pytest.mark.skipif(_openblas_thread_timeout() is None,
+                    reason="numpy's OpenBLAS exports no openblas_thread_timeout")
 @pytest.mark.parametrize("set_by_caller, expected", [(None, 16), ("24", 24)],
                          ids=["default", "caller-set"])
 def test_openblas_loads_with_the_idle_policy(set_by_caller, expected):
-    """In a fresh process that imports sstpca before numpy, every loaded
-    OpenBLAS reads OPENBLAS_THREAD_TIMEOUT=16 unless the caller set a value."""
+    """In a fresh process that imports sstpca before numpy, numpy's OpenBLAS
+    reads OPENBLAS_THREAD_TIMEOUT=16 unless the caller set a value."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     env.pop("OPENBLAS_THREAD_TIMEOUT", None)
     if set_by_caller is not None:
         env["OPENBLAS_THREAD_TIMEOUT"] = set_by_caller
-    code = ("import sstpca; from sstpca._parallel import _openblas_thread_timeouts; "
-            "print(_openblas_thread_timeouts())")
+    code = ("import sstpca; from sstpca._parallel import _openblas_thread_timeout; "
+            "print(_openblas_thread_timeout())")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
-    timeouts = json.loads(proc.stdout)
-    assert timeouts and timeouts == [expected] * len(timeouts)
+    assert json.loads(proc.stdout) == expected
+
+
+def _wheel_openblas(package: str) -> "str | None":
+    """The OpenBLAS that `package`'s wheel bundles in ``<package>.libs``, if any."""
+    spec = importlib.util.find_spec(package)
+    if spec is None:
+        return None
+    found = sorted(Path(spec.origin).parents[1].joinpath(f"{package}.libs").glob("*openblas*"))
+    return str(found[0]) if found else None
+
+
+WHEEL_OPENBLAS = [_wheel_openblas("numpy"), _wheel_openblas("scipy")]
+
+# Run in a fresh process that loads scipy's OpenBLAS before sstpca.
+ONE_LIBRARY_CHECK = """
+import ctypes, json, sys
+import scipy.linalg
+from numpy._core import _multiarray_umath
+from sstpca import linalg
+from sstpca._parallel import _openblas_controls, _openblas_function, _single_threaded_blas
+
+def address(fn):
+    return ctypes.cast(fn, ctypes.c_void_p).value
+
+numpy_blas, scipy_blas = (ctypes.CDLL(path) for path in sys.argv[1:])
+multiarray = ctypes.CDLL(_multiarray_umath.__file__)
+get_scipy = _openblas_function(scipy_blas, "openblas_get_num_threads")
+get_scipy.restype = ctypes.c_int
+_openblas_function(scipy_blas, "openblas_set_num_threads")(2)
+get, set_ = _openblas_controls()
+set_(2)
+with _single_threaded_blas:
+    held = [get(), get_scipy()]
+print(json.dumps({
+    "held": held,
+    "after": [get(), get_scipy()],
+    "dsyevd": address(linalg._dsyevd()[0]) == address(_openblas_function(numpy_blas, "dsyevd_")),
+    "matmul": address(get) == address(_openblas_function(multiarray, "openblas_get_num_threads")),
+}))
+"""
+
+
+@pytest.mark.skipif(None in WHEEL_OPENBLAS,
+                    reason="needs the OpenBLAS that numpy's and scipy's wheels each bundle")
+def test_only_numpy_openblas_is_driven():
+    """With scipy's OpenBLAS loaded first, the hold sets numpy's OpenBLAS to one
+    thread and leaves scipy's at two; the in-place eigensolver is the dsyevd of
+    the OpenBLAS in numpy.libs, and the thread control is the one that numpy's
+    matmul module links."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", ONE_LIBRARY_CHECK, *WHEEL_OPENBLAS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"held": [1, 2], "after": [2, 2], "dsyevd": True,
+                                       "matmul": True}
 
 
 def test_worker_count_defaults_to_usable_cores(monkeypatch):

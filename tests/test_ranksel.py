@@ -6,7 +6,7 @@ import pytest
 
 from sstpca import ranksel
 from sstpca.decompose import FitOptions, fit_single_factor
-from sstpca.errors import DegenerateIterate
+from sstpca.errors import DegenerateIterate, DimensionMismatch
 from sstpca.linalg import random_stiefel, random_unit, sym
 from sstpca.ranksel import (
     bic_value,
@@ -113,6 +113,18 @@ class TestSelection:
         chosen = steps[0]
         best_bic = min(b for _, b in chosen.candidates)
         assert best_bic <= chosen.null_bic
+
+    @pytest.mark.parametrize("r_max, K_max, name", [(2.5, 1, "r_max"), (2, 2.5, "K_max")])
+    def test_non_integer_bound_raises_before_any_work(self, monkeypatch, r_max, K_max, name):
+        calls = []
+        monkeypatch.setattr(ranksel, "distinct_rss", lambda X: calls.append(X))
+        with pytest.raises(DimensionMismatch, match=f"{name} must be an integer, got 2.5"):
+            rank_select_bic(SemiSymTensor(np.zeros((5, 5, 3))), r_max, K_max)
+        assert calls == []
+
+    def test_numpy_integer_bounds_pass(self):
+        X = SemiSymTensor(np.zeros((5, 5, 3)))
+        assert rank_select_bic(X, np.int64(3), np.int64(2))[0] == []
 
     def test_failed_candidates_are_listed(self):
         X = SemiSymTensor(np.zeros((5, 5, 3)))
