@@ -46,9 +46,9 @@ def long_csv(tmp_path_factory, tensor):
 
 
 def test_load_tensor_long_csv(benchmark, long_csv, tensor):
-    X = benchmark.pedantic(load_tensor, args=(long_csv, "long-csv"), rounds=5)
+    X = benchmark.pedantic(load_tensor, args=(long_csv,), rounds=5)
     assert np.array_equal(X.data, tensor.data)
-    benchmark.extra_info["tracemalloc_peak_bytes"] = traced_peak(load_tensor, long_csv, "long-csv")
+    benchmark.extra_info["tracemalloc_peak_bytes"] = traced_peak(load_tensor, long_csv)
 
 
 def test_write_long_csv(benchmark, tensor, tmp_path):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._parallel import _blas_hold_for
-from .decompose import Factor, FitDiagnostics, FitOptions, fit_single_factor
+from .decompose import Factor, FitDiagnostics, FitOptions, _check_rank_fits, fit_single_factor
 from .errors import DegenerateSeries, TooFewSlices
 from .linalg import sym
 from .tensor import SemiSymTensor, frob_norm
@@ -50,10 +50,11 @@ def cusum_tensor(X: SemiSymTensor) -> SemiSymTensor:
 def detect_changepoint(
     X: SemiSymTensor, r: int, opts: FitOptions = FitOptions()
 ) -> ChangepointResult:
-    """Locate the most likely single mean shift in a slice series; the options
-    are checked first, and from the CUSUM tensor on, every BLAS call runs under
-    the fit's hold (`_parallel`)."""
+    """Locate the most likely single mean shift in a slice series; the options,
+    the rank against p included, are checked first, and from the CUSUM tensor
+    on, every BLAS call runs under the fit's hold (`_parallel`)."""
     fit_opts = replace(opts, rank=r)
+    _check_rank_fits(r, X.p)
     if X.T < 3:
         raise TooFewSlices(f"need at least 3 slices, got T={X.T}")
     with _blas_hold_for(X.p):

@@ -39,7 +39,6 @@ from .decompose import FitOptions, fit_single_factor  # noqa: F401
 from .deflate import SCHEMES, fit_multi
 from .errors import InvalidParameter, ParseError, SSTPCAError
 from .fileio import (
-    FORMATS,
     SCHEMA_VERSION,
     factor_to_dict,
     load_tensor,
@@ -148,10 +147,8 @@ def _command(name: str, *options):
     return register
 
 
-_INPUT_OPTIONS = (
-    click.option("--input", required=True, type=click.Path(exists=True)),
-    click.option("--format", default="long-csv", type=click.Choice(FORMATS)),
-)
+_INPUT = click.option("--input", required=True, type=click.Path(exists=True),
+                      help="A long-csv file or a slice-dir directory.")
 _FIT_OPTIONS = (
     click.option("--seed", default=0, type=int),
     click.option("--tol", default=1e-8, type=float),
@@ -163,7 +160,7 @@ _U_MODE = click.option("--u-mode", default="sphere", type=click.Choice(U_MODES))
 
 @_command(
     "decompose",
-    *_INPUT_OPTIONS,
+    _INPUT,
     click.option("--ranks", default="1", help="Comma-separated factor ranks, e.g. '3' or '3,2'."),
     click.option("--scheme", default="hotelling", type=click.Choice(SCHEMES)),
     *_FIT_OPTIONS,
@@ -176,7 +173,7 @@ _U_MODE = click.option("--u-mode", default="sphere", type=click.Choice(U_MODES))
 )
 def decompose(cfg: SimpleNamespace):
     """Fit a multi-factor decomposition to a tensor read from disk."""
-    X = load_tensor(cfg.input, cfg.format)
+    X = load_tensor(cfg.input)
     init = "stable" if cfg.init == "stable" else random_unit(X.T, np.random.default_rng(cfg.seed))
     opts = FitOptions(max_iter=cfg.max_iter, tol=cfg.tol, init=init, eigen_scaled=cfg.eigen_scaled)
     dec = fit_multi(X, cfg.ranks, cfg.scheme, opts)
@@ -205,7 +202,7 @@ def decompose(cfg: SimpleNamespace):
 
 @_command(
     "changepoint",
-    *_INPUT_OPTIONS,
+    _INPUT,
     click.option("--rank", default=1, type=int),
     *_FIT_OPTIONS,
     click.option("--edge-threshold", default=None, type=float),
@@ -214,7 +211,7 @@ def decompose(cfg: SimpleNamespace):
 )
 def changepoint(cfg: SimpleNamespace):
     """Locate the most likely mean shift in a network series."""
-    X = load_tensor(cfg.input, cfg.format)
+    X = load_tensor(cfg.input)
     opts = FitOptions(max_iter=cfg.max_iter, tol=cfg.tol)
     res = detect_changepoint(X, cfg.rank, opts)
     results = {
@@ -349,7 +346,7 @@ def benchmark(cfg: SimpleNamespace):
 
 @_command(
     "rank-select",
-    *_INPUT_OPTIONS,
+    _INPUT,
     click.option("--r-max", default=5, type=int),
     click.option("--k-max", default=3, type=int),
     click.option("--scheme", default="hotelling", type=click.Choice(SCHEMES)),
@@ -358,7 +355,7 @@ def benchmark(cfg: SimpleNamespace):
 )
 def rank_select(cfg: SimpleNamespace):
     """Choose factor ranks greedily by BIC."""
-    X = load_tensor(cfg.input, cfg.format)
+    X = load_tensor(cfg.input)
     opts = FitOptions(max_iter=cfg.max_iter, tol=cfg.tol)
     ranks, steps = rank_select_bic(X, cfg.r_max, cfg.k_max, opts, cfg.scheme)
     results = {

@@ -40,6 +40,12 @@ def _check_integer(name: str, value) -> None:
         raise DimensionMismatch(f"{name} must be an integer, got {value!r}") from None
 
 
+def _check_rank_fits(r: int, p: int, where: str = "") -> None:
+    """DimensionMismatch, its message led by `where`, unless rank r is at most p."""
+    if r > p:
+        raise DimensionMismatch(f"{where}rank {r} exceeds p={p}")
+
+
 @dataclass
 class Factor:
     """One fitted component: unit loading u, network basis V, scale d.
@@ -139,9 +145,7 @@ def _best_eigen_block(M: np.ndarray, r: int,
     `eigh`, which above p = 500 solves it in place. Callers pass a fresh
     C-contiguous array. Raises DimensionMismatch when r > p.
     """
-    p = M.shape[0]
-    if r > p:
-        raise DimensionMismatch(f"rank {r} exceeds p={p}")
+    _check_rank_fits(r, M.shape[0])
     M = sym(M, out=M)
     if max(M.max(), -M.min()) < DEGENERATE_OPNORM_TOL:
         raise DegenerateIterate("weighted slice sum is numerically zero")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._parallel import _blas_hold_for
-from .decompose import Factor, FitOptions, fit_single_factor
+from .decompose import Factor, FitOptions, _check_rank_fits, fit_single_factor
 from .errors import DimensionMismatch, NonFiniteEntry, SingularSchurBlock, SSTPCAError
 from .linalg import sym
 from .tensor import SemiSymTensor, _add_rank1, frob_norm, trace_product, ttm, ttv3
@@ -141,7 +141,8 @@ def slices_all_psd(X: SemiSymTensor) -> bool:
 def fit_multi(
     X: SemiSymTensor, ranks, scheme: str = "hotelling", opts: FitOptions = FitOptions()
 ) -> Decomposition:
-    """Fit K factors greedily, deflating between fits; all options are checked first.
+    """Fit K factors greedily, deflating between fits; all options are checked first,
+    each rank against p included.
 
     At p <= 500 the whole loop runs with OpenBLAS held at one thread (see
     `_parallel`), so the decomposition does not depend on OPENBLAS_NUM_THREADS.
@@ -150,6 +151,8 @@ def fit_multi(
     per_factor = [replace(opts, rank=r) for r in ranks]
     if not per_factor:
         raise DimensionMismatch("need at least one rank")
+    for k, factor_opts in enumerate(per_factor):
+        _check_rank_fits(factor_opts.rank, X.p, f"factor {k}: ")
 
     with _blas_hold_for(X.p):
         dec = Decomposition(scheme=scheme, residual_norms=[frob_norm(X)])

@@ -1,6 +1,7 @@
 """Tensor file formats and result serialization.
 
-Two input formats:
+Two input formats, told apart by the path: a directory is read as slice-dir
+and a regular file as long-csv.
 
   slice-dir  a directory of dense p x p CSV files, one per slice, read in
              lexicographic filename order; blank lines are skipped and
@@ -36,7 +37,6 @@ from .errors import (
 )
 from .tensor import SemiSymTensor, new_from_slices
 
-FORMATS = ("slice-dir", "long-csv")
 DUPLICATE_TOL = 1e-8
 SCHEMA_VERSION = 1
 
@@ -171,18 +171,15 @@ def _load_long_csv(path: Path) -> SemiSymTensor:
     return SemiSymTensor._trusted(data.reshape(p, p, T))  # finite; (a, b) == (b, a) bitwise
 
 
-def load_tensor(path, fmt: str) -> SemiSymTensor:
-    """Read a tensor from disk; slice order follows sorted names / times."""
+def load_tensor(path) -> SemiSymTensor:
+    """Read a tensor from disk: a directory as slice-dir, a regular file as long-csv,
+    anything else is a ParseError. Slice order follows sorted names / times."""
     path = Path(path)
-    if fmt == "slice-dir":
-        if not path.is_dir():
-            raise ParseError(f"{path} is not a directory")
+    if path.is_dir():
         return _load_slice_dir(path)
-    if fmt == "long-csv":
-        if not path.is_file():
-            raise ParseError(f"{path} is not a file")
+    if path.is_file():
         return _load_long_csv(path)
-    raise ParseError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    raise ParseError(f"{path} is neither a file nor a directory")
 
 
 def write_long_csv(X: SemiSymTensor, path) -> None:

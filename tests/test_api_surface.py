@@ -1,10 +1,12 @@
-"""Pins the public API: a new export or FitOptions field has to show up here."""
+"""Pins the public API: a new export, FitOptions field or CLI option has to show up here."""
 
 import dataclasses
 import inspect
 
 import sstpca
 from sstpca import FitOptions
+from sstpca.cli import main
+from sstpca.fileio import load_tensor
 
 PUBLIC = {
     "ChangepointResult", "Decomposition", "Factor", "FitDiagnostics", "FitOptions",
@@ -36,3 +38,24 @@ def test_fit_signatures():
     assert list(inspect.signature(sstpca.fit_single_factor).parameters) == ["X", "opts"]
     assert list(inspect.signature(sstpca.fit_adversarial).parameters) == [
         "X_signal", "opts", "noise_budget", "adversary"]
+
+
+def test_cli_options():
+    fit = ["--seed", "--tol", "--max-iter"]
+    assert {name: [o for p in command.params for o in p.opts]
+            for name, command in main.commands.items()} == {
+        "decompose": ["--input", "--ranks", "--scheme", *fit, "--init", "--eigen-scaled",
+                      "--edge-threshold", "--output", "--trace-csv"],
+        "changepoint": ["--input", "--rank", *fit, "--edge-threshold", "--output",
+                        "--cusum-csv"],
+        "simulate": ["--preset", "--p", "--t", "--r", "--r-list", "--d", "--sigma", "--tau",
+                     "--u-mode", "--seeds", *fit, "--data-out", "--csv", "--output"],
+        "benchmark": ["--p-list", "--t", "--r", "--d-list", "--sigma", "--u-mode", "--init",
+                      "--reps", "--seed", "--threads", "--csv", "--output"],
+        "rank-select": ["--input", "--r-max", "--k-max", "--scheme", *fit, "--output"],
+    }
+
+
+def test_load_tensor_signature():
+    # The path alone picks the reader.
+    assert list(inspect.signature(load_tensor).parameters) == ["path"]

@@ -129,7 +129,8 @@ class TestDetect:
             detect_changepoint(X, 1)
 
     @pytest.mark.parametrize("r, message", [(0, "rank 0 must be at least 1"),
-                                            (2.5, "rank must be an integer, got 2.5")])
+                                            (2.5, "rank must be an integer, got 2.5"),
+                                            (9, "rank 9 exceeds p=8")])
     def test_bad_rank_raises_before_the_cusum_tensor(self, monkeypatch, r, message):
         calls = []
         monkeypatch.setattr(changepoint, "cusum_tensor", lambda X: calls.append(X))

@@ -12,7 +12,7 @@ from sstpca import __version__
 from sstpca.cli import main
 from sstpca.decompose import FitOptions
 from sstpca.deflate import fit_multi
-from sstpca.fileio import load_factors, load_tensor
+from sstpca.fileio import canonical_json, load_factors, load_tensor
 from sstpca.linalg import random_unit, sign_aligned_error
 
 
@@ -178,6 +178,36 @@ def test_config_echoes_own_options(tmp_path, runner, spike_csv, shift_csv, args)
     assert config["output"] == str(out)
 
 
+@pytest.mark.parametrize("command", ["decompose", "changepoint"])
+def test_slice_dir_input_matches_long_csv(tmp_path, runner, spike_csv, shift_csv, command):
+    """A directory --input is read as slice-dir, to the results of its long-csv."""
+    data = {"decompose": spike_csv[0], "changepoint": shift_csv}[command]
+    X = load_tensor(data)
+    slices = tmp_path / "slices"
+    slices.mkdir()
+    for t in range(X.T):  # zero-padded: files are read in name order
+        (slices / f"s{t:03d}.csv").write_text(
+            "\n".join(",".join(map(repr, row)) for row in X.slice(t).tolist()) + "\n")
+    results = []
+    for source in (data, slices):
+        out = tmp_path / f"{source.name}.json"
+        run_ok(runner, [command, "--input", str(source), "--output", str(out)])
+        results.append(canonical_json(json.loads(out.read_text())["results"]))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("command", ["decompose", "changepoint", "rank-select"])
+def test_input_neither_file_nor_directory_is_input_error(tmp_path, runner, command):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    out = tmp_path / "out.json"
+    result = runner.invoke(main, [command, "--input", str(fifo), "--output", str(out)],
+                           catch_exceptions=False)
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: {fifo} is neither a file nor a directory\n"
+    assert not out.exists()
+
+
 class TestDecomposeCommand:
     def test_writes_results_and_roundtrips(self, tmp_path, runner, spike_csv):
         data, truth = spike_csv
@@ -227,7 +257,7 @@ class TestDecomposeCommand:
 
     def test_random_init_is_one_start_drawn_from_seed(self, tmp_path, runner, spike_csv):
         data, _ = spike_csv
-        X = load_tensor(data, "long-csv")
+        X = load_tensor(data)
         start = random_unit(X.T, np.random.default_rng(5))
         want = fit_multi(X, [2, 1], "hotelling", FitOptions(init=start)).factors
         got = {}

@@ -250,14 +250,17 @@ class TestFitMulti:
             return fit_single_factor(*args, **kwargs)
 
         # `sstpca.deflate` as an attribute path names the function the package exports.
-        monkeypatch.setattr(importlib.import_module("sstpca.deflate"), "fit_single_factor",
-                            counting_fit)
+        module = importlib.import_module("sstpca.deflate")
+        monkeypatch.setattr(module, "fit_single_factor", counting_fit)
+        monkeypatch.setattr(module, "deflate", lambda *args: calls.append(args))
         X = random_instance(3)
         with pytest.raises(DimensionMismatch, match="rank 0 must be at least 1"):
             fit_multi(X, [3, 0])
         for rank in (2.5, 2.0):  # not truncated to a rank-2 fit
             with pytest.raises(DimensionMismatch, match=f"rank must be an integer, got {rank}"):
                 fit_multi(X, [rank])
+        with pytest.raises(DimensionMismatch, match="^factor 1: rank 10 exceeds p=9$"):
+            fit_multi(X, [2, 10])
         assert calls == []
 
     def test_numpy_integer_ranks_fit_as_ints(self):

@@ -28,18 +28,18 @@ class TestLongCsv:
 
     def test_symmetric_pair(self, tmp_path):
         path = self.write(tmp_path, "t,i,j,w\n1,1,2,0.5\n1,2,1,0.5\n")
-        X = load_tensor(path, "long-csv")
+        X = load_tensor(path)
         assert X.p == 2 and X.T == 1
         assert np.allclose(X.slice(0), [[0.0, 0.5], [0.5, 0.0]])
 
     def test_conflicting_pair(self, tmp_path):
         path = self.write(tmp_path, "t,i,j,w\n1,1,2,0.5\n1,2,1,0.6\n")
         with pytest.raises(AsymmetricInput):
-            load_tensor(path, "long-csv")
+            load_tensor(path)
 
     def test_missing_pairs_are_zero(self, tmp_path):
         path = self.write(tmp_path, "t,i,j,w\n1,1,3,2.0\n2,1,1,7.0\n")
-        X = load_tensor(path, "long-csv")
+        X = load_tensor(path)
         assert X.p == 3 and X.T == 2
         assert X.slice(0)[0, 2] == 2.0
         assert X.slice(0)[1, 2] == 0.0
@@ -47,31 +47,31 @@ class TestLongCsv:
 
     def test_slice_order_sorted_by_t(self, tmp_path):
         path = self.write(tmp_path, "t,i,j,w\n5,1,2,5.0\n2,1,2,2.0\n")
-        X = load_tensor(path, "long-csv")
+        X = load_tensor(path)
         assert X.slice(0)[0, 1] == 2.0
         assert X.slice(1)[0, 1] == 5.0
 
     def test_bad_header(self, tmp_path):
         path = self.write(tmp_path, "a,b,c,d\n1,1,2,0.5\n")
         with pytest.raises(ParseError):
-            load_tensor(path, "long-csv")
+            load_tensor(path)
 
     def test_zero_based_rejected(self, tmp_path):
         path = self.write(tmp_path, "t,i,j,w\n1,0,2,0.5\n")
         with pytest.raises(ParseError):
-            load_tensor(path, "long-csv")
+            load_tensor(path)
 
     def test_malformed_number(self, tmp_path):
         path = self.write(tmp_path, "t,i,j,w\n1,1,2,abc\n")
         with pytest.raises(ParseError, match="row 2"):
-            load_tensor(path, "long-csv")
+            load_tensor(path)
 
     def test_roundtrip_through_writer(self, tmp_path):
         rng = np.random.default_rng(0)
         X, _ = spike_model(6, 4, 2, 3.0, 0.5, "sphere", rng)
         path = tmp_path / "x.csv"
         write_long_csv(X, path)
-        back = load_tensor(path, "long-csv")
+        back = load_tensor(path)
         assert np.array_equal(back.data, X.data)
 
 
@@ -94,7 +94,7 @@ class TestLongCsvContract:
     def load(self, tmp_path, text):
         path = tmp_path / "data.csv"
         path.write_bytes(text.encode())
-        return load_tensor(path, "long-csv")
+        return load_tensor(path)
 
     @pytest.mark.parametrize("line", ["# x", "1,1,2,0.5#x", "#1,1,2,0.5"])
     def test_hash_is_data_not_a_comment(self, tmp_path, line):
@@ -189,7 +189,7 @@ class TestLongCsvContract:
         path.write_text("t,i,j,w\n" + text)
         tracemalloc.start()
         try:
-            X = load_tensor(path, "long-csv")
+            X = load_tensor(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -213,7 +213,7 @@ class TestSliceDir:
         d.mkdir()
         (d / "b.csv").write_text("0,2\n2,0\n")
         (d / "a.csv").write_text("0,1\n1,0\n")
-        X = load_tensor(d, "slice-dir")
+        X = load_tensor(d)
         assert X.slice(0)[0, 1] == 1.0
         assert X.slice(1)[0, 1] == 2.0
 
@@ -227,7 +227,7 @@ class TestSliceDir:
         for name, text in files.items():
             (d / name).write_text(text)
         with pytest.raises(InconsistentDimensions):
-            load_tensor(d, "slice-dir")
+            load_tensor(d)
 
     def test_same_bytes_as_long_csv(self, tmp_path):
         X, _ = spike_model(7, 4, 2, 3.0, 1.0, "sphere", np.random.default_rng(8))
@@ -237,8 +237,8 @@ class TestSliceDir:
         for t in range(X.T):
             (d / f"s{t}.csv").write_text(
                 "\n".join(",".join(map(repr, row)) for row in X.slice(t).tolist()) + "\n")
-        from_dir = load_tensor(d, "slice-dir").data
-        assert from_dir.tobytes() == load_tensor(tmp_path / "long.csv", "long-csv").data.tobytes()
+        from_dir = load_tensor(d).data
+        assert from_dir.tobytes() == load_tensor(tmp_path / "long.csv").data.tobytes()
         assert from_dir.tobytes() == X.data.tobytes()
 
     def test_asymmetric_input(self, tmp_path):
@@ -246,25 +246,21 @@ class TestSliceDir:
         d.mkdir()
         (d / "a.csv").write_text("0,1\n1.01,0\n")
         with pytest.raises(AsymmetricInput):
-            load_tensor(d, "slice-dir")
+            load_tensor(d)
 
     def test_ragged_rows(self, tmp_path):
         d = tmp_path / "slices"
         d.mkdir()
         (d / "a.csv").write_text("0,1\n1\n")
         with pytest.raises(ParseError):
-            load_tensor(d, "slice-dir")
+            load_tensor(d)
 
     def test_errors_name_the_file_line(self, tmp_path):
         d = tmp_path / "slices"
         d.mkdir()
         (d / "a.csv").write_text("0,1\n\n1\n")
         with pytest.raises(ParseError, match="a.csv, row 3: expected 2 columns, got 1"):
-            load_tensor(d, "slice-dir")
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ParseError):
-            load_tensor(tmp_path, "parquet")
+            load_tensor(d)
 
 
 class TestSerialization:

@@ -431,7 +431,7 @@ class TestConstructionRule:
         rows = [rows[k] for k in rng.permutation(len(rows))]
         path = tmp_path / "x.csv"
         path.write_text("t,i,j,w\n" + "".join(f"{t},{i},{j},{w!r}\n" for t, i, j, w in rows))
-        assert_package_built(load_tensor(path, "long-csv"))
+        assert_package_built(load_tensor(path))
 
     def test_shift_preset(self, tmp_path, monkeypatch):
         built = []
