@@ -26,7 +26,7 @@ from .errors import (
     SingularSmoother,
     ZeroVector,
 )
-from .linalg import ZERO_NORM_TOL, eigen_block, normalize, sin_theta_frob, sym
+from .linalg import _checked_norm, eigen_block, normalize, sin_theta_frob, sym
 from .tensor import SemiSymTensor, rank1_outer, trace_product, ttv3
 
 DEGENERATE_OPNORM_TOL = 1e-14
@@ -65,7 +65,7 @@ class Factor:
 @dataclass(frozen=True)
 class FitOptions:
     """Settings of one fit, checked when built: integer rank >= 1 and max_iter >= 1,
-    tol > 0 and a finite, square, symmetric smoother with S >= I, else DimensionMismatch.
+    finite tol > 0 and a finite, square, symmetric smoother with S >= I, else DimensionMismatch.
     `init` is "stable" or a unit T-vector, such as `random_unit(T, rng)` for a random
     start; other names raise InvalidGivenInit. Each fit checks rank <= p and a T x T smoother."""
 
@@ -83,6 +83,8 @@ class FitOptions:
             raise DimensionMismatch(f"rank {self.rank} must be at least 1")
         if not self.tol > 0:
             raise DimensionMismatch("tol must be positive")
+        if self.tol == np.inf:  # every fit would stop after two iterations
+            raise DimensionMismatch("tol must be finite")
         if self.max_iter < 1:
             raise DimensionMismatch("max_iter must be at least 1")
         if isinstance(self.init, str):
@@ -101,12 +103,15 @@ class FitOptions:
 
 @dataclass
 class FitDiagnostics:
+    """The numbers of one fit: `objective[k]`, the objective <X, V o V o u> after
+    iteration k + 1, and `u_change[k]`, that iteration's ||u_new - u||; then the
+    number of `iterations` run and whether the fit `converged` before max_iter.
+    Iterates are given to an observer (`fit_single_factor`), never kept here."""
+
     iterations: int = 0
     objective: list = field(default_factory=list)
     u_change: list = field(default_factory=list)
     converged: bool = False
-    u_trace: list = field(default_factory=list)
-    V_trace: list = field(default_factory=list)
 
 
 def init_u(init, T: int) -> np.ndarray:
@@ -171,11 +176,11 @@ def v_update(X, u: np.ndarray, r: int, eigen_scaled: bool = False):
 
 
 def _loading(x: np.ndarray, S: "np.ndarray | None") -> np.ndarray:
-    """x / ||x||, or under a smoother S the solution of S y = x scaled to y' S y = 1."""
+    """x / ||x||, or under a smoother S the solution of S y = x scaled to y' S y = 1;
+    either way ZeroVector or NonFiniteEntry where ||x|| is zero or not finite."""
     if S is None:
         return normalize(x)
-    if float(np.linalg.norm(x)) < ZERO_NORM_TOL:
-        raise ZeroVector("trace-product is numerically zero")
+    _checked_norm(x)
     try:
         y = np.linalg.solve(S, x)
     except np.linalg.LinAlgError as e:
@@ -200,10 +205,11 @@ def _v_change(V: np.ndarray, prev: "np.ndarray | None") -> tuple[float, np.ndarr
     return (np.inf if prev is None else sin_theta_frob(V_unit, prev)), V_unit
 
 
-def _alternate(X: SemiSymTensor, opts: FitOptions, v_step, u_step):
+def _alternate(X: SemiSymTensor, opts: FitOptions, v_step, u_step, *, observe=None):
     """The alternating loop of `fit_single_factor` over its two steps:
     `v_step(M, rank, eigen_scaled)` consumes the target ttv3(X, u) and
-    returns (V, lam); `u_step(x, smoother)` maps the trace-product x to u."""
+    returns (V, lam); `u_step(x, smoother)` maps the trace-product x to u.
+    `observe(V, u)`, when given, sees each iterate."""
     if opts.smoother is not None and np.shape(opts.smoother) != (X.T, X.T):
         raise DimensionMismatch(f"smoother must be {X.T} x {X.T}, got {np.shape(opts.smoother)}")
     if not np.any(X.data):
@@ -225,9 +231,9 @@ def _alternate(X: SemiSymTensor, opts: FitOptions, v_step, u_step):
             u_change = float(np.linalg.norm(u_new - u))
             diag.objective.append(obj)
             diag.u_change.append(u_change)
-            diag.u_trace.append(u_new)
-            diag.V_trace.append(V)
             diag.iterations = k + 1
+            if observe is not None:
+                observe(V, u_new)
 
             v_change, V_unit = _v_change(V, V_unit)
             u = u_new
@@ -246,7 +252,8 @@ def _alternate(X: SemiSymTensor, opts: FitOptions, v_step, u_step):
     return Factor(u=u, V=V, d=d), diag
 
 
-def fit_single_factor(X: SemiSymTensor, opts: FitOptions) -> tuple[Factor, FitDiagnostics]:
+def fit_single_factor(X: SemiSymTensor, opts: FitOptions, *,
+                      observe=None) -> tuple[Factor, FitDiagnostics]:
     """Alternating fit of one factor.
 
     Stops when both the u-change and the V change (`_v_change`: `sin_theta_frob`
@@ -257,12 +264,17 @@ def fit_single_factor(X: SemiSymTensor, opts: FitOptions) -> tuple[Factor, FitDi
     DidNotConvergeWarning) but still returns the last iterate; partial
     iterates are statistically useful.
 
+    `observe(V, u)`, when given, is called once per iteration, under the fit's
+    BLAS hold, with that iteration's basis and loading, so the last call sees
+    the returned V and the returned u or -u (the flip that makes d positive).
+    The fit writes neither array afterwards, so the observer may keep them.
+
     At p <= 500 every BLAS call of the fit runs with OpenBLAS held at one
     thread, so the result does not depend on OPENBLAS_NUM_THREADS (`_parallel`).
     Above 500 each V-step eigensolves its target in place (`linalg.eigh`), with
     the bits of `np.linalg.eigh`.
     """
-    return _alternate(X, opts, _best_eigen_block, _loading)
+    return _alternate(X, opts, _best_eigen_block, _loading, observe=observe)
 
 
 def fit_adversarial(

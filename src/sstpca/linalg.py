@@ -30,8 +30,9 @@ def is_orthonormal(V: np.ndarray) -> bool:
 
 def sym(A: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
     """Symmetric part (A + A') / 2 of a float array; of every slice for a (p, p, T)
-    stack. Written into `out` when given, which may be A itself: the same bits
-    without a new array of A's size."""
+    stack. Written into `out` when given, which may be A itself: the same bits in
+    A's memory, through one temporary of A's size (numpy's copy of the
+    overlapping A'), freed on return."""
     out = np.add(A, np.swapaxes(A, 0, 1), out=out)
     out /= 2.0
     return out
@@ -128,13 +129,23 @@ def sym_eigen_top_r(A: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     return eigen_block(sym(A), lambda w: np.argsort(-np.abs(w), kind="stable")[:r])
 
 
-def normalize(x: np.ndarray) -> np.ndarray:
-    """x / ||x||_2, rejecting numerically zero vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    nrm = float(np.linalg.norm(x))
+def _checked_norm(x: np.ndarray) -> float:
+    """||x||_2 of a float vector: ZeroVector where it is numerically zero,
+    NonFiniteEntry where it is not finite (a NaN or infinite entry, or squares
+    that overflow, as from finite entries near 1e200)."""
+    with np.errstate(over="ignore"):  # an overflow raises below instead of warning
+        nrm = float(np.linalg.norm(x))
     if nrm < ZERO_NORM_TOL:
         raise ZeroVector(f"vector norm {nrm:.3e} below {ZERO_NORM_TOL}")
-    return x / nrm
+    if not np.isfinite(nrm):
+        raise NonFiniteEntry(f"vector norm is {nrm}: largest entry magnitude {np.abs(x).max():.3e}")
+    return nrm
+
+
+def normalize(x: np.ndarray) -> np.ndarray:
+    """x / ||x||_2, rejecting vectors whose norm is numerically zero or not finite."""
+    x = np.asarray(x, dtype=np.float64)
+    return x / _checked_norm(x)
 
 
 def _cross_singular_values(V1: np.ndarray, V2: np.ndarray) -> np.ndarray:

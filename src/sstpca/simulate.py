@@ -9,7 +9,7 @@ harness reporting aligned recovery errors across a parameter grid.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -275,7 +275,7 @@ class _RepFit:
     raised its peak RSS by a tenth.
     """
 
-    diag: FitDiagnostics  # without u_trace and V_trace
+    diag: FitDiagnostics
     armses: list  # aligned error of each iterate; the last is the fitted basis's
     u_errs: list  # sign-aligned u error of each iterate over sqrt(T); the last is the fit's
     stat_iteration: int
@@ -294,11 +294,15 @@ def _run_rep(cell: SweepCell, seed_seq, max_iter: int, tol: float) -> _RepFit:
     else:
         raise InvalidParameter(f"unknown init scheme {cell.init!r}")
     opts = FitOptions(rank=cell.r, max_iter=max_iter, tol=tol, init=init)
-    factor, diag = fit_single_factor(X, opts)
-    armses = [procrustes_aligned_rmse(V, truth.V_star)[1] for V in diag.V_trace]
-    u_errs = [float(sign_aligned_error(u, truth.u_star) / np.sqrt(cell.T)) for u in diag.u_trace]
-    return _RepFit(replace(diag, u_trace=[], V_trace=[]), armses, u_errs,
-                   _stat_iteration(armses, armses[-1]), _recon_error(factor, truth))
+    armses, u_errs = [], []
+
+    def score(V, u):
+        armses.append(procrustes_aligned_rmse(V, truth.V_star)[1])
+        u_errs.append(float(sign_aligned_error(u, truth.u_star) / np.sqrt(cell.T)))
+
+    factor, diag = fit_single_factor(X, opts, observe=score)
+    return _RepFit(diag, armses, u_errs, _stat_iteration(armses, armses[-1]),
+                   _recon_error(factor, truth))
 
 
 def _run_reps(reps, max_iter: int = 200, tol: float = 1e-8, n_threads: int = 1) -> list:

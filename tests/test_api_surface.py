@@ -1,10 +1,11 @@
-"""Pins the public API: a new export, FitOptions field or CLI option has to show up here."""
+"""Pins the public API: a new export, FitOptions or FitDiagnostics field, fit parameter or
+CLI option has to show up here."""
 
 import dataclasses
 import inspect
 
 import sstpca
-from sstpca import FitOptions
+from sstpca import FitDiagnostics, FitOptions
 from sstpca.cli import main
 from sstpca.fileio import load_tensor
 
@@ -33,9 +34,20 @@ def test_fit_options_fields():
         "rank", "max_iter", "tol", "init", "eigen_scaled", "smoother"]
 
 
+def test_fit_diagnostics_fields():
+    # Numbers only: an array-valued field, such as a list of iterates, shows up here.
+    assert [(f.name, f.type) for f in dataclasses.fields(FitDiagnostics)] == [
+        ("iterations", "int"), ("objective", "list"), ("u_change", "list"),
+        ("converged", "bool")]
+
+
 def test_fit_signatures():
     # A private keyword option of a fit would show up here.
-    assert list(inspect.signature(sstpca.fit_single_factor).parameters) == ["X", "opts"]
+    params = inspect.signature(sstpca.fit_single_factor).parameters
+    assert [(name, p.kind, p.default) for name, p in params.items()] == [
+        ("X", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("opts", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("observe", inspect.Parameter.KEYWORD_ONLY, None)]
     assert list(inspect.signature(sstpca.fit_adversarial).parameters) == [
         "X_signal", "opts", "noise_budget", "adversary"]
 

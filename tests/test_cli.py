@@ -12,8 +12,9 @@ from sstpca import __version__
 from sstpca.cli import main
 from sstpca.decompose import FitOptions
 from sstpca.deflate import fit_multi
-from sstpca.fileio import canonical_json, load_factors, load_tensor
+from sstpca.fileio import canonical_json, load_factors, load_tensor, write_long_csv
 from sstpca.linalg import random_unit, sign_aligned_error
+from sstpca.tensor import SemiSymTensor
 
 
 @pytest.fixture()
@@ -64,6 +65,7 @@ def shift_csv(tmp_path, runner):
         (["decompose", "--input", "{spike}", "--trace-csv", "{nodir}"], 2),
         (["decompose", "--input", "{spike}", "--output", "{nodir}"], 2),
         (["simulate", "--preset", "spike", "--tol", "0"], 2),
+        (["decompose", "--input", "{spike}", "--tol", "inf"], 2),
         (["decompose", "--input", "{spike}", "--ranks", "3,0"], 2),
         (["simulate", "--preset", "fig3", "--seeds", "0"], 2),
         (["simulate", "--preset", "fig3", "--seeds", "-1"], 2),
@@ -86,8 +88,8 @@ def shift_csv(tmp_path, runner):
         (["simulate", "--preset", "fig3", "--t", "-1"], 2),
     ],
     ids=["simulate", "benchmark", "rank-select", "changepoint", "trace-csv-unwritable",
-         "output-unwritable", "spike-tol-0", "decompose-rank-0", "fig3-seeds-0",
-         "fig3-seeds-neg", "fig3-rank-0", "fig3-rank-neg", "fig3-no-ranks",
+         "output-unwritable", "spike-tol-0", "decompose-tol-inf", "decompose-rank-0",
+         "fig3-seeds-0", "fig3-seeds-neg", "fig3-rank-0", "fig3-rank-neg", "fig3-no-ranks",
          "shift-sigma-neg", "shift-d-nan", "spike-d-nan", "spike-sigma-nan", "spike-tol-nan",
          "spike-sigma-inf", "spike-d-inf", "shift-sigma-inf", "benchmark-d-inf",
          "benchmark-sigma-inf", "benchmark-d-zero", "benchmark-t-neg", "spike-t-neg",
@@ -194,6 +196,24 @@ def test_slice_dir_input_matches_long_csv(tmp_path, runner, spike_csv, shift_csv
         run_ok(runner, [command, "--input", str(source), "--output", str(out)])
         results.append(canonical_json(json.loads(out.read_text())["results"]))
     assert results[0] == results[1]
+
+
+def test_overflowing_norm_is_named(tmp_path, runner, spike_csv):
+    """Finite weights near 1e200 overflow the loading's norm: exit 2 with that
+    message, and failed rank-select candidates, not a zero slice sum."""
+    X = load_tensor(spike_csv[0])
+    data = tmp_path / "huge.csv"
+    write_long_csv(SemiSymTensor(X.data * 1e199), data)
+    out = tmp_path / "out.json"
+    for command in ("decompose", "changepoint"):
+        result = runner.invoke(main, [command, "--input", str(data), "--output", str(out)],
+                               catch_exceptions=False)
+        assert result.exit_code == 2, result.output
+        assert "error: " in result.stderr and "vector norm is inf" in result.stderr
+        assert not out.exists()
+    run_ok(runner, ["rank-select", "--input", str(data), "--r-max", "2", "--output", str(out)])
+    (step,) = json.loads(out.read_text())["results"]["steps"]
+    assert step["failed"] == [[1, "NonFiniteEntry"], [2, "NonFiniteEntry"]]
 
 
 @pytest.mark.parametrize("command", ["decompose", "changepoint", "rank-select"])

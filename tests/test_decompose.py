@@ -1,10 +1,12 @@
+import functools
 import inspect
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from sstpca import fit_adversarial, linalg
+from sstpca import decompose, fit_adversarial, linalg
 from sstpca._parallel import _single_threaded_blas, ordered_map
 from sstpca.changepoint import detect_changepoint
 from sstpca.decompose import (
@@ -21,6 +23,7 @@ from sstpca.errors import (
     DidNotConvergeWarning,
     DimensionMismatch,
     InvalidGivenInit,
+    NonFiniteEntry,
     SingularSmoother,
     ZeroVector,
 )
@@ -92,6 +95,16 @@ class TestInitU:
 def test_fit_options_checked_when_built(kwargs):
     with pytest.raises(DimensionMismatch):
         FitOptions(**kwargs)
+
+
+@pytest.mark.parametrize("tol, message", [
+    (np.inf, "tol must be finite"), (0.0, "tol must be positive"), (-1.0, "tol must be positive"),
+    (np.nan, "tol must be positive"), (-np.inf, "tol must be positive")],
+    ids=["inf", "0", "neg", "nan", "neg-inf"])
+def test_fit_options_tol_messages(tol, message):
+    # An infinite tol would stop every fit after two iterations, marked converged.
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        FitOptions(tol=tol)
 
 
 def test_fit_options_accept_numpy_integers():
@@ -241,6 +254,16 @@ class TestUUpdate:
         V = np.eye(3)[:, 1:]
         with pytest.raises(ZeroVector):
             u_update(X, V)
+        with pytest.raises(ZeroVector):
+            u_update(X, V, 2.0 * np.eye(2))
+
+    @pytest.mark.parametrize("smoother", [None, 2.0 * np.eye(3)], ids=["plain", "smoothed"])
+    def test_overflowing_target_norm(self, smoother):
+        # Finite trace-products of 1e200 whose norm overflows: neither a zero
+        # loading nor a smoother failure.
+        X = new_from_slices([np.full((2, 2), 1e200)] * 3)
+        with pytest.raises(NonFiniteEntry, match="vector norm is inf"):
+            u_update(X, np.eye(2)[:, :1], smoother)
 
     def test_smoothed_scaled_identity(self):
         # closed form at S = 2I: u = x / (sqrt(2) ||x||), so u' S u = 1
@@ -303,15 +326,19 @@ class TestFitSingleFactor:
             fit_single_factor(X, FitOptions(rank=2))
         assert isinstance(info.value.__cause__, ZeroVector)
 
-    def test_negative_objective_flips_the_sign(self):
+    def test_negative_objective_flips_the_sign(self, monkeypatch):
         # The adversary pushes the u target to -5 in every slice, so the
         # objective is negative and the fit returns -u with d = -objective.
         X, _ = spike_model(6, 4, 1, 3.0, 0.0, "positive", np.random.default_rng(1))
+        # fit_adversarial takes no observer, so one is passed to its loop.
+        us = []
+        observed = functools.partial(decompose._alternate, observe=lambda V, u: us.append(u))
+        monkeypatch.setattr(decompose, "_alternate", observed)
         f, diag = fit_adversarial(X, FitOptions(max_iter=5), 10.0,
                                   lambda k: (np.zeros((6, 6)), np.full(4, -5.0)))
         assert diag.objective[-1] < 0
         assert f.d == -diag.objective[-1]
-        assert np.array_equal(f.u, -diag.u_trace[-1])
+        assert np.array_equal(f.u, -us[-1])
 
     def test_fixed_point_in_one_iteration(self):
         rng = np.random.default_rng(7)
@@ -420,9 +447,9 @@ class TestFitSingleFactor:
     def test_track_iterates(self):
         rng = np.random.default_rng(14)
         X, _, _ = noiseless_instance(rng)
-        _, diag = fit_single_factor(X, FitOptions(rank=2))
-        assert len(diag.u_trace) == diag.iterations
-        assert len(diag.V_trace) == diag.iterations
+        seen = []
+        _, diag = fit_single_factor(X, FitOptions(rank=2), observe=lambda V, u: seen.append(u))
+        assert len(seen) == diag.iterations
 
     def test_factor_reconstruct(self):
         rng = np.random.default_rng(15)
@@ -447,3 +474,35 @@ class TestFitSingleFactor:
             angles_u.append(np.degrees(np.arccos(cos_u)))
         assert np.median(angles_v) <= 25.0
         assert np.median(angles_u) <= 30.0
+
+
+class TestObserver:
+    @pytest.mark.parametrize("max_iter", [3, 200], ids=["capped", "converged"])
+    def test_sees_each_iterate_and_ends_at_the_fit(self, max_iter):
+        X, _ = spike_model(20, 8, 2, 15.0, 1.0, "sphere", np.random.default_rng(21))
+        seen = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DidNotConvergeWarning)
+            f, diag = fit_single_factor(X, FitOptions(rank=2, max_iter=max_iter),
+                                        observe=lambda V, u: seen.append((V, u)))
+        assert diag.converged == (max_iter == 200)
+        assert len(seen) == diag.iterations
+        # In order: iteration k's objective is <[X; V_k], u_k>.
+        assert diag.objective == [float(trace_product(X, V) @ u) for V, u in seen]
+        V, u = seen[-1]
+        assert V.tobytes() == f.V.tobytes()
+        assert np.array_equal(u, f.u) or np.array_equal(u, -f.u)
+
+    def test_a_fit_keeps_no_iterate(self):
+        """A capped p=300, rank-4 fit (200 iterations) holds its factor, not its iterates."""
+        X, _ = spike_model(300, 20, 4, 1.0, 1.0, "sphere", np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DidNotConvergeWarning)
+                result = fit_single_factor(X, FitOptions(rank=4))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert result[1].iterations == 200
+        assert held < 0.1e6

@@ -148,6 +148,17 @@ class TestNormalize:
         with pytest.raises(ZeroVector):
             normalize(np.zeros(3))
 
+    @pytest.mark.parametrize("x", [[1e200, 1e200], [1.0, np.inf], [np.nan, 1.0]],
+                             ids=["overflow", "inf", "nan"])
+    def test_norm_not_finite_raises(self, x):
+        with pytest.raises(NonFiniteEntry, match="vector norm is (inf|nan)"):
+            normalize(np.array(x))
+
+    @pytest.mark.parametrize("scale", [1e-10, 1.0, 1e150])
+    def test_finite_norm_keeps_the_bits(self, scale):
+        x = scale * np.random.default_rng(4).standard_normal(7)
+        assert normalize(x).tobytes() == (x / np.linalg.norm(x)).tobytes()
+
 
 class TestAngles:
     def test_equal_spans(self):

@@ -113,12 +113,15 @@ def test_fit_iterates_match_the_reference(p, T, r, strength, sign, u_mode, seed)
     every iterate of `fit_single_factor` matches the plain alternating step."""
     X, _ = spike_model(p, T, r, strength * np.sqrt(p), 1.0, u_mode, np.random.default_rng(seed))
     data = sign * X.data
+    iterates = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DidNotConvergeWarning)
-        _, diag = fit_single_factor(SemiSymTensor(data), FitOptions(rank=r, max_iter=30))
+        _, diag = fit_single_factor(SemiSymTensor(data), FitOptions(rank=r, max_iter=30),
+                                    observe=lambda V, u: iterates.append((u, V)))
     us, Vs, gaps = reference_fit(data, r, diag.iterations)
     assume(min(gaps) >= GAP_FLOOR)
-    for k, (u, V, u_ref, V_ref) in enumerate(zip(diag.u_trace, diag.V_trace, us, Vs)):
+    assert len(iterates) == diag.iterations
+    for k, ((u, V), u_ref, V_ref) in enumerate(zip(iterates, us, Vs)):
         assert np.abs(u - u_ref).max() <= FIT_TOL, k
         assert np.abs(V @ V.T - V_ref @ V_ref.T).max() <= FIT_TOL, k
 

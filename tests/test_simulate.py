@@ -470,8 +470,10 @@ def test_rep_record_scores_every_iterate():
         rng = np.random.default_rng(seed_seq)
         X, truth = spike_model(cell.p, cell.T, cell.r, cell.d, cell.sigma, cell.u_mode, rng)
         init = random_unit(cell.T, rng, positive=True)
-        factor, diag = fit_single_factor(X, FitOptions(rank=cell.r, init=init))
-        assert fit.armses == [procrustes_aligned_rmse(V, truth.V_star)[1] for V in diag.V_trace]
+        Vs = []
+        factor, _ = fit_single_factor(X, FitOptions(rank=cell.r, init=init),
+                                      observe=lambda V, u: Vs.append(V))
+        assert fit.armses == [procrustes_aligned_rmse(V, truth.V_star)[1] for V in Vs]
         assert fit.armses[-1] == procrustes_aligned_rmse(factor.V, truth.V_star)[1]
         assert fit.u_errs[-1] == sign_aligned_error(factor.u, truth.u_star) / np.sqrt(cell.T)
 
