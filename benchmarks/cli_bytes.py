@@ -101,6 +101,9 @@ MATRIX = [
     ("error-shift-t-0", ["simulate", "--preset", "shift", "--t", "0"], []),
     ("error-shift-p-0", ["simulate", "--preset", "shift", "--p", "0"], []),
     ("error-rank-too-large", ["decompose", "--input", "{dir}/spike.csv", "--ranks", "31"], []),
+    ("error-spike-r-too-large", ["simulate", "--preset", "spike", "--p", "6", "--r", "7"], []),
+    ("error-rank-select-r-max-too-large", ["rank-select", "--input", "{dir}/spike.csv",
+                                           "--r-max", "31"], []),
     # d or sigma so large that the instance overflows: exit 2 and no data file.
     ("error-spike-overflow", ["simulate", "--preset", "spike", "--p", "2", "--t", "3", "--r", "2",
                               "--d", "1.5e308", "--sigma", "0",

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import sys
 import warnings
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import click
@@ -71,15 +72,6 @@ def _payload(cfg: SimpleNamespace, results: dict) -> dict:
         "config": {k: v for k, v in vars(cfg).items() if k != "threads"},
         "seed": cfg.seed,
         "results": results,
-    }
-
-
-def _diag_dict(diag) -> dict:
-    return {
-        "iterations": diag.iterations,
-        "converged": diag.converged,
-        "objective": diag.objective,
-        "u_change": diag.u_change,
     }
 
 
@@ -182,7 +174,7 @@ def decompose(cfg: SimpleNamespace):
         "T": X.T,
         "scheme": cfg.scheme,
         "factors": [factor_to_dict(f) for f in dec.factors],
-        "diagnostics": [_diag_dict(d) for d in dec.diagnostics],
+        "diagnostics": [asdict(d) for d in dec.diagnostics],
         "residual_norms": dec.residual_norms,
         "cpve": dec.cpve,
         "residual_ratios": dec.residual_ratios,
@@ -222,7 +214,7 @@ def changepoint(cfg: SimpleNamespace):
         "score": res.score,
         "u_hat": res.u_hat,
         "factor": factor_to_dict(res.factor),
-        "diagnostics": _diag_dict(res.diagnostics),
+        "diagnostics": asdict(res.diagnostics),
     }
     if cfg.edge_threshold is not None:
         results["principal_network"] = _thresholded_network(res.factor, cfg.edge_threshold)

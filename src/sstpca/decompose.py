@@ -10,7 +10,6 @@ the objective <X, V o V o u> never decreases across iterations.
 from __future__ import annotations
 
 import itertools
-import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -26,24 +25,11 @@ from .errors import (
     SingularSmoother,
     ZeroVector,
 )
-from .linalg import _checked_norm, eigen_block, normalize, sin_theta_frob, sym
+from .linalg import (_check_integer, _check_rank, _checked_norm, eigen_block, normalize,
+                     sin_theta_frob, sym)
 from .tensor import SemiSymTensor, rank1_outer, trace_product, ttv3
 
 DEGENERATE_OPNORM_TOL = 1e-14
-
-
-def _check_integer(name: str, value) -> None:
-    """DimensionMismatch unless value is an integer; numpy integers pass."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise DimensionMismatch(f"{name} must be an integer, got {value!r}") from None
-
-
-def _check_rank_fits(r: int, p: int, where: str = "") -> None:
-    """DimensionMismatch, its message led by `where`, unless rank r is at most p."""
-    if r > p:
-        raise DimensionMismatch(f"{where}rank {r} exceeds p={p}")
 
 
 @dataclass
@@ -77,10 +63,8 @@ class FitOptions:
     smoother: "np.ndarray | None" = None
 
     def __post_init__(self):
-        for name, value in (("rank", self.rank), ("max_iter", self.max_iter)):
-            _check_integer(name, value)
-        if self.rank < 1:
-            raise DimensionMismatch(f"rank {self.rank} must be at least 1")
+        _check_rank(self.rank)
+        _check_integer("max_iter", self.max_iter)
         if not self.tol > 0:
             raise DimensionMismatch("tol must be positive")
         if self.tol == np.inf:  # every fit would stop after two iterations
@@ -148,9 +132,9 @@ def _best_eigen_block(M: np.ndarray, r: int,
     Consumes its target: M is symmetrized in place (the bits of `sym(M)`;
     numpy's copy of the overlapping M' is freed before the solve) and handed to
     `eigh`, which above p = 500 solves it in place. Callers pass a fresh
-    C-contiguous array. Raises DimensionMismatch when r > p.
+    C-contiguous array. Checks r by the rank rule (`linalg._check_rank`).
     """
-    _check_rank_fits(r, M.shape[0])
+    _check_rank(r, M.shape[0])
     M = sym(M, out=M)
     if max(M.max(), -M.min()) < DEGENERATE_OPNORM_TOL:
         raise DegenerateIterate("weighted slice sum is numerically zero")

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._parallel import _blas_hold_for
-from .decompose import Factor, FitOptions, _check_rank_fits, fit_single_factor
+from .decompose import Factor, FitOptions, fit_single_factor
 from .errors import DimensionMismatch, NonFiniteEntry, SingularSchurBlock, SSTPCAError
-from .linalg import sym
+from .linalg import _check_rank, _finite_norm, sym
 from .tensor import SemiSymTensor, _add_rank1, frob_norm, trace_product, ttm, ttv3
 from .tensor import new_from_slices  # noqa: F401  (perfbench times deflate.new_from_slices)
 
@@ -142,7 +142,8 @@ def fit_multi(
     X: SemiSymTensor, ranks, scheme: str = "hotelling", opts: FitOptions = FitOptions()
 ) -> Decomposition:
     """Fit K factors greedily, deflating between fits; all options are checked first,
-    each rank against p included.
+    each rank against p included, then that the input's norm is finite
+    (`linalg._finite_norm`; weights near 1e153 overflow its sum of squares).
 
     At p <= 500 the whole loop runs with OpenBLAS held at one thread (see
     `_parallel`), so the decomposition does not depend on OPENBLAS_NUM_THREADS.
@@ -152,10 +153,10 @@ def fit_multi(
     if not per_factor:
         raise DimensionMismatch("need at least one rank")
     for k, factor_opts in enumerate(per_factor):
-        _check_rank_fits(factor_opts.rank, X.p, f"factor {k}: ")
+        _check_rank(factor_opts.rank, X.p, f"factor {k}: rank")
 
     with _blas_hold_for(X.p):
-        dec = Decomposition(scheme=scheme, residual_norms=[frob_norm(X)])
+        dec = Decomposition(scheme=scheme, residual_norms=[_finite_norm(X.data)])
         residual = X
         for k, factor_opts in enumerate(per_factor):
             if scheme == "schur" and not slices_all_psd(residual):

@@ -25,7 +25,7 @@ class NotSymmetric(SSTPCAError):
     """Matrix expected to be symmetric is not."""
 
 
-class RankTooLarge(SSTPCAError):
+class RankTooLarge(DimensionMismatch):
     """Requested rank exceeds the matrix dimension."""
 
 

@@ -4,16 +4,34 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import operator
 
 import numpy as np
 
 from ._parallel import _numpy_openblas, _openblas_function
-from .errors import (DimensionMismatch, InvalidParameter, NonFiniteEntry, NotSymmetric,
-                     RankTooLarge, ZeroVector)
+from .errors import DimensionMismatch, NonFiniteEntry, NotSymmetric, RankTooLarge, ZeroVector
 
 ZERO_NORM_TOL = 1e-14
 STIEFEL_TOL = 1e-8
 NUMPY_EIGH_MAX_P = 500  # the largest p that `eigh` leaves to np.linalg.eigh
+
+
+def _check_integer(name: str, value) -> None:
+    """DimensionMismatch unless value is an integer; numpy integers pass."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise DimensionMismatch(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_rank(r, p: "int | None" = None, name: str = "rank") -> None:
+    """The one rank rule: r is an integer with 1 <= r, and r <= p where p is given,
+    else DimensionMismatch, or its subclass RankTooLarge where r exceeds p."""
+    _check_integer(name, r)
+    if r < 1:
+        raise DimensionMismatch(f"{name} {r} must be at least 1")
+    if p is not None and r > p:
+        raise RankTooLarge(f"{name} {r} exceeds p={p}")
 
 
 def _columns(V: np.ndarray) -> np.ndarray:
@@ -118,9 +136,7 @@ def sym_eigen_top_r(A: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {A.shape}")
-    p = A.shape[0]
-    if not 1 <= r <= p:
-        raise RankTooLarge(f"rank r={r} must lie in [1, {p}]")
+    _check_rank(r, A.shape[0])
     scale = float(np.abs(A).max())
     if not np.isfinite(scale):
         raise NonFiniteEntry("matrix has NaN or infinite entries")
@@ -129,16 +145,22 @@ def sym_eigen_top_r(A: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     return eigen_block(sym(A), lambda w: np.argsort(-np.abs(w), kind="stable")[:r])
 
 
-def _checked_norm(x: np.ndarray) -> float:
-    """||x||_2 of a float vector: ZeroVector where it is numerically zero,
-    NonFiniteEntry where it is not finite (a NaN or infinite entry, or squares
-    that overflow, as from finite entries near 1e200)."""
+def _finite_norm(x: np.ndarray) -> float:
+    """||x||_2 of a float array's entries, NonFiniteEntry where it is not finite
+    (a NaN or infinite entry, or squares that overflow, as from finite entries
+    near 1e200)."""
     with np.errstate(over="ignore"):  # an overflow raises below instead of warning
         nrm = float(np.linalg.norm(x))
-    if nrm < ZERO_NORM_TOL:
-        raise ZeroVector(f"vector norm {nrm:.3e} below {ZERO_NORM_TOL}")
     if not np.isfinite(nrm):
         raise NonFiniteEntry(f"vector norm is {nrm}: largest entry magnitude {np.abs(x).max():.3e}")
+    return nrm
+
+
+def _checked_norm(x: np.ndarray) -> float:
+    """`_finite_norm` of a float vector, ZeroVector where it is numerically zero."""
+    nrm = _finite_norm(x)
+    if nrm < ZERO_NORM_TOL:
+        raise ZeroVector(f"vector norm {nrm:.3e} below {ZERO_NORM_TOL}")
     return nrm
 
 
@@ -199,10 +221,7 @@ def sign_aligned_error(u_hat: np.ndarray, u_star: np.ndarray) -> float:
 
 def random_stiefel(p: int, r: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed p x r matrix with orthonormal columns, 1 <= r <= p."""
-    if r < 1:
-        raise InvalidParameter(f"r={r} must be at least 1")
-    if r > p:
-        raise RankTooLarge(f"r={r} exceeds p={p}")
+    _check_rank(r, p)
     G = rng.standard_normal((p, r))
     Q, R = np.linalg.qr(G)
     signs = np.sign(np.diag(R))

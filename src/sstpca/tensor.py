@@ -15,7 +15,7 @@ from .errors import (
     LengthNotTriangular,
     NonFiniteEntry,
 )
-from .linalg import _columns, random_stiefel, sym
+from .linalg import _check_rank, _columns, random_stiefel, sym
 
 SYMMETRY_REL_TOL = 1e-8
 SYMMETRY_ABS_FLOOR = 1e-12
@@ -232,8 +232,7 @@ def ropnorm_upper_bound(X, r: int) -> float:
     """Deterministic upper bound r * sqrt(T) * max slice operator norm."""
     data = _as_data(X)
     p, T = data.shape[0], data.shape[2]
-    if not 1 <= r <= p:
-        raise DimensionMismatch(f"rank r={r} must lie in [1, {p}]")
+    _check_rank(r, p)
     opnorm = np.abs(np.linalg.eigvalsh(np.moveaxis(sym(data), 2, 0))).max()
     return float(r * np.sqrt(T) * opnorm)
 
@@ -247,8 +246,7 @@ def ropnorm_sampled_lower(X, r: int, n_samples: int, rng: np.random.Generator) -
     """
     data = _as_data(X)
     p = data.shape[0]
-    if not 1 <= r <= p:
-        raise DimensionMismatch(f"rank r={r} must lie in [1, {p}]")
+    _check_rank(r, p)
     if n_samples < 1:
         raise DimensionMismatch("need at least one sample")
     best = 0.0

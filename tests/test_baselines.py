@@ -7,7 +7,7 @@ from sstpca.baselines import (
     network_error,
     truncated_matricized_pca,
 )
-from sstpca.errors import DegenerateMatrix, RankTooLarge
+from sstpca.errors import DegenerateMatrix
 from sstpca.linalg import random_stiefel, random_unit, sign_aligned_error, sin_theta_frob
 from sstpca.tensor import matricize_upper, new_from_slices, rank1_outer, unuvec, uvec
 
@@ -91,11 +91,6 @@ class TestTruncatedMatricizedPca:
         _, V2, _ = truncated_matricized_pca(X2, 2)
         assert sin_theta_frob(V1, V2) < 1e-8
 
-    def test_rank_too_large(self):
-        X, _, _ = rank1_instance()
-        with pytest.raises(RankTooLarge):
-            truncated_matricized_pca(X, 9)
-
 
 class TestHosvd:
     def test_noiseless_rank_r(self):
@@ -118,11 +113,6 @@ class TestHosvd:
     def test_zero_tensor(self):
         with pytest.raises(DegenerateMatrix):
             hosvd(new_from_slices([np.zeros((3, 3))]), 1)
-
-    def test_rank_too_large(self):
-        X, _, _ = rank1_instance()
-        with pytest.raises(RankTooLarge):
-            hosvd(X, 10)
 
 
 class TestNetworkError:

@@ -113,6 +113,29 @@ def test_exit_code_contract(tmp_path, runner, spike_csv, shift_csv, args, code):
         assert json.loads(out.read_text())["command"] == args[0]
 
 
+@pytest.mark.parametrize("args, message", [
+    (["decompose", "--input", "{spike}", "--ranks", "2,13"], "factor 1: rank 13 exceeds p=12"),
+    (["changepoint", "--input", "{shift}", "--rank", "15"], "rank 15 exceeds p=14"),
+    (["rank-select", "--input", "{spike}", "--r-max", "13"], "r_max 13 exceeds p=12"),
+    (["rank-select", "--input", "{spike}", "--r-max", "0"], "r_max 0 must be at least 1"),
+    (["simulate", "--preset", "spike", "--p", "6", "--r", "7"], "rank 7 exceeds p=6"),
+    (["simulate", "--preset", "shift", "--p", "6", "--r", "7"], "rank 7 exceeds p=6"),
+    (["benchmark", "--p-list", "6", "--t", "4", "--r", "7", "--reps", "1"], "rank 7 exceeds p=6"),
+    (["benchmark", "--p-list", "6", "--t", "4", "--r", "0", "--reps", "1"],
+     "rank 0 must be at least 1"),
+], ids=["decompose", "changepoint", "rank-select", "rank-select-0", "spike", "shift",
+        "benchmark", "benchmark-0"])
+def test_every_command_states_the_rank_rule_alike(tmp_path, runner, spike_csv, shift_csv,
+                                                  args, message):
+    out = tmp_path / "out.json"
+    inputs = {"{spike}": str(spike_csv[0]), "{shift}": str(shift_csv)}
+    result = runner.invoke(main, [*(inputs.get(a, a) for a in args), "--output", str(out)],
+                           catch_exceptions=False)
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value, name",
     [("--t", "0", "T"), ("--t", "-3", "T"), ("--p", "0", "p")],
@@ -199,8 +222,9 @@ def test_slice_dir_input_matches_long_csv(tmp_path, runner, spike_csv, shift_csv
 
 
 def test_overflowing_norm_is_named(tmp_path, runner, spike_csv):
-    """Finite weights near 1e200 overflow the loading's norm: exit 2 with that
-    message, and failed rank-select candidates, not a zero slice sum."""
+    """Finite weights near 1e200 overflow a norm (decompose's input's, changepoint's
+    loading's): exit 2 with that message, and failed rank-select candidates, not a
+    zero slice sum."""
     X = load_tensor(spike_csv[0])
     data = tmp_path / "huge.csv"
     write_long_csv(SemiSymTensor(X.data * 1e199), data)
@@ -214,6 +238,20 @@ def test_overflowing_norm_is_named(tmp_path, runner, spike_csv):
     run_ok(runner, ["rank-select", "--input", str(data), "--r-max", "2", "--output", str(out)])
     (step,) = json.loads(out.read_text())["results"]["steps"]
     assert step["failed"] == [[1, "NonFiniteEntry"], [2, "NonFiniteEntry"]]
+
+
+def test_overflowing_input_norm_is_input_error(tmp_path, runner, spike_csv):
+    """Weights whose sum of squares overflows while no loading's norm does:
+    decompose exits 2 before the first fit, writing no JSON with Infinity or NaN."""
+    X = load_tensor(spike_csv[0])
+    data = tmp_path / "huge.csv"
+    write_long_csv(SemiSymTensor(X.data * 1e153), data)
+    out = tmp_path / "out.json"
+    result = runner.invoke(main, ["decompose", "--input", str(data), "--output", str(out)],
+                           catch_exceptions=False)
+    assert result.exit_code == 2, result.output
+    assert result.stderr == "error: vector norm is inf: largest entry magnitude 3.741e+153\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["decompose", "changepoint", "rank-select"])
@@ -419,7 +457,7 @@ class TestSimulateCommand:
             "--data-out", str(data), "--output", str(out),
         ], catch_exceptions=False)
         assert result.exit_code == 2, result.output
-        assert result.stderr.startswith("error: r=0 must be at least 1")
+        assert result.stderr.startswith("error: rank 0 must be at least 1")
         assert not out.exists() and not data.exists()
 
     @pytest.mark.parametrize("preset, args", [

@@ -23,6 +23,7 @@ from sstpca.linalg import (
     sign_aligned_error,
     sym,
 )
+from sstpca.simulate import spike_model
 from sstpca.tensor import SemiSymTensor, frob_norm, new_from_slices, rank1_outer, ttm, ttv3
 
 
@@ -261,6 +262,26 @@ class TestFitMulti:
                 fit_multi(X, [rank])
         with pytest.raises(DimensionMismatch, match="^factor 1: rank 10 exceeds p=9$"):
             fit_multi(X, [2, 10])
+        assert calls == []
+
+    def test_overflowing_input_norm_raises_before_any_fit(self, monkeypatch):
+        """Finite weights whose sum of squares overflows, though the loading's
+        norm does not, raise instead of fitting to an infinite residual norm;
+        numpy's overflow warning is silenced."""
+        calls = []
+
+        def counting_fit(*args, **kwargs):
+            calls.append(args)
+            return fit_single_factor(*args, **kwargs)
+
+        monkeypatch.setattr(importlib.import_module("sstpca.deflate"), "fit_single_factor",
+                            counting_fit)
+        X, _ = spike_model(20, 5, 1, 5.0, 1.0, "sphere", np.random.default_rng(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteEntry,
+                               match="^vector norm is inf: largest entry magnitude 1.342e"):
+                fit_multi(SemiSymTensor(X.data * 3e152), [1])
         assert calls == []
 
     def test_numpy_integer_ranks_fit_as_ints(self):
