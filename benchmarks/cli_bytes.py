@@ -111,6 +111,11 @@ MATRIX = [
     ("error-shift-overflow", ["simulate", "--preset", "shift", "--p", "3", "--t", "4",
                               "--sigma", "1e308", "--data-out", "{dir}/shift-overflow.csv"],
      ["shift-overflow.csv"]),
+    # Finite entries whose sum of squares overflows: the instance's norm is not finite.
+    ("error-spike-norm-overflow", ["simulate", "--preset", "spike", "--p", "2", "--t", "3",
+                                   "--r", "2", "--d", "1e154", "--sigma", "0",
+                                   "--data-out", "{dir}/spike-norm-overflow.csv"],
+     ["spike-norm-overflow.csv"]),
     # An all-zero input: the fits exit 2, rank-select lists its failed candidates.
     ("zero", ["simulate", "--preset", "spike", "--d", "0", "--sigma", "0",
               "--data-out", "{dir}/zero.csv"], ["zero.csv"]),

@@ -22,7 +22,7 @@ import numpy as np
 from ._parallel import _blas_hold_for
 from .decompose import Factor, FitOptions, fit_single_factor
 from .errors import DimensionMismatch, NonFiniteEntry, SingularSchurBlock, SSTPCAError
-from .linalg import _check_rank, _finite_norm, sym
+from .linalg import _check_rank, sym
 from .tensor import SemiSymTensor, _add_rank1, frob_norm, trace_product, ttm, ttv3
 from .tensor import new_from_slices  # noqa: F401  (perfbench times deflate.new_from_slices)
 
@@ -119,7 +119,7 @@ def deflate(X: SemiSymTensor, f: Factor, scheme: str) -> SemiSymTensor:
         # Symmetrize into C order: einsum sums in memory order, so a (T, p, p)-major
         # residual would change later fits in the last bits.
         out = sym(np.moveaxis(res, 0, 2), out=np.empty_like(X.data))
-    # For a finite factor every scheme's residual is finite and exactly symmetric.
+    # For a finite factor every scheme's residual is exactly symmetric.
     return SemiSymTensor._trusted(out)
 
 
@@ -142,8 +142,7 @@ def fit_multi(
     X: SemiSymTensor, ranks, scheme: str = "hotelling", opts: FitOptions = FitOptions()
 ) -> Decomposition:
     """Fit K factors greedily, deflating between fits; all options are checked first,
-    each rank against p included, then that the input's norm is finite
-    (`linalg._finite_norm`; weights near 1e153 overflow its sum of squares).
+    each rank against p included.
 
     At p <= 500 the whole loop runs with OpenBLAS held at one thread (see
     `_parallel`), so the decomposition does not depend on OPENBLAS_NUM_THREADS.
@@ -156,7 +155,7 @@ def fit_multi(
         _check_rank(factor_opts.rank, X.p, f"factor {k}: rank")
 
     with _blas_hold_for(X.p):
-        dec = Decomposition(scheme=scheme, residual_norms=[_finite_norm(X.data)])
+        dec = Decomposition(scheme=scheme, residual_norms=[frob_norm(X)])
         residual = X
         for k, factor_opts in enumerate(per_factor):
             if scheme == "schur" and not slices_all_psd(residual):

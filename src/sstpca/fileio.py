@@ -153,7 +153,12 @@ def _load_long_csv(path: Path) -> SemiSymTensor:
     entry, mirror = (a * p + b) * T + slot, (b * p + a) * T + slot
     del a, b, slot  # 24 B per row less at the peak below
     # The lowest row number naming each entry, in one O(rows) pass (np.unique would sort).
-    first = np.full(p * p * T, entry.size, dtype=np.intp)
+    try:
+        first = np.full(p * p * T, entry.size, dtype=np.intp)
+    except (MemoryError, ValueError):  # numpy refuses the size at once, touching no memory
+        k = int(np.argmax(np.maximum(i, j)))
+        raise ParseError(f"{path.name}, row {row_number(k)}: node index {max(i[k], j[k])} "
+                         f"makes p={p}, T={T}, a tensor too large to allocate") from None
     np.minimum.at(first, entry, np.arange(entry.size))
     kept = w[first[entry]]  # the first weight of each row's entry
     gap = abs(w - kept)  # in the difference's buffer, where np.abs would allocate
@@ -168,7 +173,7 @@ def _load_long_csv(path: Path) -> SemiSymTensor:
     data = np.zeros(p * p * T)
     # All writes to one entry carry its first weight, so their order does not matter.
     data[entry] = data[mirror] = kept
-    return SemiSymTensor._trusted(data.reshape(p, p, T))  # finite; (a, b) == (b, a) bitwise
+    return SemiSymTensor._trusted(data.reshape(p, p, T))  # (a, b) == (b, a) bitwise
 
 
 def load_tensor(path) -> SemiSymTensor:

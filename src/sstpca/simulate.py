@@ -90,19 +90,6 @@ def goe_noise(p: int, T: int, sigma: float, rng: np.random.Generator) -> np.ndar
     return out
 
 
-def _finite_instance(data: np.ndarray) -> SemiSymTensor:
-    """`SemiSymTensor._trusted(data)` for a drawn, exactly symmetric instance.
-
-    A huge d or sigma can overflow a draw or the signal; that raises
-    NonFiniteEntry. max and min see NaN and inf without the p x p x T
-    temporary of np.isfinite(data).all().
-    """
-    if not (math.isfinite(data.max()) and math.isfinite(data.min())):
-        raise NonFiniteEntry("simulated instance contains NaN or infinite entries: "
-                             "d or sigma is too large")
-    return SemiSymTensor._trusted(data)
-
-
 def spike_model(
     p: int, T: int, r: int, d: float, sigma: float, u_mode: str, rng: np.random.Generator
 ) -> tuple[SemiSymTensor, SpikeTruth]:
@@ -122,7 +109,7 @@ def spike_model(
     data = _add_rank1(goe_noise(p, T, sigma, rng), d, V_star, u_star)
     snr = float(d / np.sqrt(p * np.log(T))) if T > 1 else float("inf")
     truth = SpikeTruth(u_star, V_star, float(d), float(sigma), snr)
-    return _finite_instance(data), truth
+    return SemiSymTensor._trusted(data), truth
 
 
 def shift_model(
@@ -145,7 +132,7 @@ def shift_model(
     data = goe_noise(p, T, sigma, rng)
     data[:, :, :tau] += (d * (V1 @ V1.T))[:, :, None]
     data[:, :, tau:] += (d * (V2 @ V2.T))[:, :, None]
-    return _finite_instance(data), V1, V2
+    return SemiSymTensor._trusted(data), V1, V2
 
 
 def _block_membership(p: int, n_blocks: int) -> np.ndarray:

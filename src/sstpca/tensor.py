@@ -9,23 +9,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    AsymmetricSlice,
-    DimensionMismatch,
-    LengthNotTriangular,
-    NonFiniteEntry,
-)
-from .linalg import _check_rank, _columns, random_stiefel, sym
+from .errors import AsymmetricSlice, DimensionMismatch, LengthNotTriangular
+from .linalg import _check_rank, _columns, _finite_norm, random_stiefel, sym
 
 SYMMETRY_REL_TOL = 1e-8
 SYMMETRY_ABS_FLOOR = 1e-12
 
 
 class SemiSymTensor:
-    """Immutable stack of symmetric matrices, shape (p, p, T).
+    """Immutable stack of symmetric matrices, shape (p, p, T), with a finite
+    Frobenius norm (so every entry is below about 1.34e154 in magnitude).
 
     Outside data goes through the constructor, which checks it and symmetrizes
-    it into a new array; arrays the package built go through `_trusted`.
+    it into a new array; arrays the package built go through `_trusted`. Both
+    raise NonFiniteEntry where the norm is not finite (`linalg._finite_norm`).
     """
 
     __slots__ = ("data",)
@@ -36,21 +33,15 @@ class SemiSymTensor:
             raise DimensionMismatch(f"expected (p, p, T) array, got shape {data.shape}")
         if data.shape[0] < 1 or data.shape[2] < 1:
             raise DimensionMismatch("p and T must both be at least 1")
-        if not np.isfinite(data).all():
-            raise NonFiniteEntry("tensor contains NaN or infinite entries")
-        with np.errstate(over="ignore"):  # a difference that overflows reads inf
-            asym = np.abs(data - data.transpose(1, 0, 2)).max()
+        _finite_norm(data)  # so neither the difference nor sym below can overflow
+        asym = np.abs(data - data.transpose(1, 0, 2)).max()
         scale = np.abs(data).max()
         tol = max(SYMMETRY_REL_TOL * scale, SYMMETRY_ABS_FLOOR)
         if asym > tol:
             raise AsymmetricSlice(
                 f"max asymmetry {asym:.3e} exceeds tolerance {tol:.3e}"
             )
-        try:
-            with np.errstate(over="raise"):
-                data = sym(data)  # downstream eigensolvers see exactly symmetric slices
-        except FloatingPointError as e:
-            raise NonFiniteEntry("symmetrizing overflows: entries above about 8.99e307") from e
+        data = sym(data)  # downstream eigensolvers see exactly symmetric slices
         data.setflags(write=False)
         self.data = data
 
@@ -58,10 +49,12 @@ class SemiSymTensor:
     def _trusted(cls, data: np.ndarray) -> "SemiSymTensor":
         """Wrap a float64 (p, p, T) array the package built, as is.
 
-        No copy, symmetrization or check: the caller guarantees finite entries
-        and slices equal to their transposes bit for bit (so sym would return
-        the same bytes) and hands the array over; it is made read-only in place.
+        No copy or symmetrization: the caller guarantees slices equal to their
+        transposes bit for bit (so sym would return the same bytes) and hands
+        the array over; it is made read-only in place. The norm is checked as
+        in the constructor: NonFiniteEntry where it is not finite.
         """
+        _finite_norm(data)
         data.setflags(write=False)
         X = cls.__new__(cls)
         X.data = data
@@ -147,7 +140,7 @@ def rank1_outer(d: float, V: np.ndarray, u: np.ndarray) -> SemiSymTensor:
         raise DimensionMismatch("scale d must be finite and nonnegative")
     p, T = len(V), np.size(u)
     # -0.0 + x == x for every float x (signed zeros too): entries are exactly d W_ij u_t.
-    # The constructor rejects a non-finite V or u, or an overflow, as NonFiniteEntry.
+    # The constructor rejects a non-finite V or u, or an overflowing norm, as NonFiniteEntry.
     return SemiSymTensor(_add_rank1(np.full((p, p, T), -0.0), d, V, u))
 
 

@@ -12,9 +12,9 @@ from sstpca import __version__
 from sstpca.cli import main
 from sstpca.decompose import FitOptions
 from sstpca.deflate import fit_multi
-from sstpca.fileio import canonical_json, load_factors, load_tensor, write_long_csv
+from sstpca.errors import NonFiniteEntry
+from sstpca.fileio import canonical_json, load_factors, load_tensor
 from sstpca.linalg import random_unit, sign_aligned_error
-from sstpca.tensor import SemiSymTensor
 
 
 @pytest.fixture()
@@ -221,36 +221,72 @@ def test_slice_dir_input_matches_long_csv(tmp_path, runner, spike_csv, shift_csv
     assert results[0] == results[1]
 
 
+def write_scaled_long_csv(path, data, scale):
+    """The long-csv of data * scale, written row by row: a SemiSymTensor of
+    weights whose sum of squares overflows cannot be made."""
+    p, _, T = data.shape
+    path.write_text("t,i,j,w\n" + "".join(
+        f"{t + 1},{i + 1},{j + 1},{float(data[i, j, t]) * scale!r}\n"
+        for t in range(T) for i in range(p) for j in range(i, p)))
+
+
 def test_overflowing_norm_is_named(tmp_path, runner, spike_csv):
-    """Finite weights near 1e200 overflow a norm (decompose's input's, changepoint's
-    loading's): exit 2 with that message, and failed rank-select candidates, not a
-    zero slice sum."""
-    X = load_tensor(spike_csv[0])
+    """Finite weights near 1e200 overflow the input's norm: every command exits 2
+    with that message, rank-select included."""
     data = tmp_path / "huge.csv"
-    write_long_csv(SemiSymTensor(X.data * 1e199), data)
+    write_scaled_long_csv(data, load_tensor(spike_csv[0]).data, 1e199)
     out = tmp_path / "out.json"
-    for command in ("decompose", "changepoint"):
+    for command in ("decompose", "changepoint", "rank-select"):
         result = runner.invoke(main, [command, "--input", str(data), "--output", str(out)],
                                catch_exceptions=False)
         assert result.exit_code == 2, result.output
         assert "error: " in result.stderr and "vector norm is inf" in result.stderr
         assert not out.exists()
-    run_ok(runner, ["rank-select", "--input", str(data), "--r-max", "2", "--output", str(out)])
-    (step,) = json.loads(out.read_text())["results"]["steps"]
-    assert step["failed"] == [[1, "NonFiniteEntry"], [2, "NonFiniteEntry"]]
 
 
 def test_overflowing_input_norm_is_input_error(tmp_path, runner, spike_csv):
     """Weights whose sum of squares overflows while no loading's norm does:
     decompose exits 2 before the first fit, writing no JSON with Infinity or NaN."""
-    X = load_tensor(spike_csv[0])
     data = tmp_path / "huge.csv"
-    write_long_csv(SemiSymTensor(X.data * 1e153), data)
+    write_scaled_long_csv(data, load_tensor(spike_csv[0]).data, 1e153)
     out = tmp_path / "out.json"
     result = runner.invoke(main, ["decompose", "--input", str(data), "--output", str(out)],
                            catch_exceptions=False)
     assert result.exit_code == 2, result.output
     assert result.stderr == "error: vector norm is inf: largest entry magnitude 3.741e+153\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["decompose", "changepoint", "rank-select"])
+def test_overflowing_norm_is_refused_by_every_command(tmp_path, runner, spike_csv, command):
+    """Finite weights near 1e153 whose sum of squares overflows: the reader
+    refuses the tensor, so each command exits 2 with the same message and writes
+    no JSON, before any fit."""
+    data = tmp_path / "huge.csv"
+    write_scaled_long_csv(data, load_tensor(spike_csv[0]).data, 1e153)
+    out = tmp_path / "out.json"
+    result = runner.invoke(main, [command, "--input", str(data), "--output", str(out)],
+                           catch_exceptions=False)
+    assert result.exit_code == 2, result.output
+    assert result.stderr == "error: vector norm is inf: largest entry magnitude 3.741e+153\n"
+    assert not out.exists()
+    with pytest.raises(NonFiniteEntry, match="^vector norm is inf: largest entry magnitude "):
+        load_tensor(data)
+
+
+@pytest.mark.parametrize("index", [10**7, 10**10])
+def test_absurd_node_index_is_input_error(tmp_path, runner, index):
+    """A node index of 10^7 asks for a 728 TiB tensor (MemoryError), one of 10^10
+    for more entries than numpy allows (ValueError); numpy refuses either at once.
+    A ParseError names the row, p and T, so exit 2, not a traceback."""
+    data = tmp_path / "absurd.csv"
+    data.write_text(f"t,i,j,w\n1,1,2,0.5\n1,{index},1,0.25\n")
+    out = tmp_path / "out.json"
+    result = runner.invoke(main, ["decompose", "--input", str(data), "--output", str(out)],
+                           catch_exceptions=False)
+    assert result.exit_code == 2, result.output
+    assert result.stderr == (f"error: absurd.csv, row 3: node index {index} makes "
+                             f"p={index}, T=1, a tensor too large to allocate\n")
     assert not out.exists()
 
 
@@ -471,7 +507,7 @@ class TestSimulateCommand:
             "simulate", "--preset", preset, *args, "--data-out", str(data), "--output", str(out),
         ], catch_exceptions=False)
         assert result.exit_code == 2, result.output
-        assert result.stderr.startswith("error: simulated instance contains NaN or infinite")
+        assert result.stderr.startswith("error: vector norm is inf: largest entry magnitude ")
         assert not out.exists() and not data.exists()
 
     def test_spike_at_one_slice_writes_strict_json(self, tmp_path, runner):

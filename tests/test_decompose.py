@@ -259,11 +259,11 @@ class TestUUpdate:
 
     @pytest.mark.parametrize("smoother", [None, 2.0 * np.eye(3)], ids=["plain", "smoothed"])
     def test_overflowing_target_norm(self, smoother):
-        # Finite trace-products of 1e200 whose norm overflows: neither a zero
-        # loading nor a smoother failure.
-        X = new_from_slices([np.full((2, 2), 1e200)] * 3)
+        # A tensor of finite norm whose trace-products, 1e154 each, have a norm
+        # that overflows: neither a zero loading nor a smoother failure.
+        X = new_from_slices([5e153 * np.eye(2)] * 3)
         with pytest.raises(NonFiniteEntry, match="vector norm is inf"):
-            u_update(X, np.eye(2)[:, :1], smoother)
+            u_update(X, np.eye(2), smoother)
 
     def test_smoothed_scaled_identity(self):
         # closed form at S = 2I: u = x / (sqrt(2) ||x||), so u' S u = 1

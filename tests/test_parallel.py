@@ -21,7 +21,9 @@ from sstpca._parallel import (
 )
 from sstpca.changepoint import detect_changepoint
 from sstpca.cli import main
+from sstpca.deflate import fit_multi
 from sstpca.errors import DegenerateIterate, DidNotConvergeWarning
+from sstpca.ranksel import rank_select_bic
 from sstpca.simulate import spike_model
 from sstpca.tensor import SemiSymTensor, ttv3
 
@@ -155,8 +157,10 @@ def test_fit_restores_blas_threads_when_it_raises(two_blas_threads, monkeypatch)
 def test_no_tensor_norm_of_a_fit_or_changepoint_runs_outside_the_hold(two_blas_threads,
                                                                         monkeypatch):
     """At p=150 every numpy.linalg.norm of a 3-way array, a p^2 T BLAS
-    reduction, runs at one OpenBLAS thread: the fit takes none, and
-    detect_changepoint takes its two CUSUM norms under its hold."""
+    reduction, runs at one OpenBLAS thread: the fit takes none, detect_changepoint
+    takes the CUSUM tensor's check and its two norms under its hold, and fit_multi
+    and rank_select_bic check each deflation residual (`SemiSymTensor._trusted`)
+    under theirs."""
     seen = []
     real_norm = np.linalg.norm
 
@@ -165,16 +169,24 @@ def test_no_tensor_norm_of_a_fit_or_changepoint_runs_outside_the_hold(two_blas_t
             seen.append(blas_threads())
         return real_norm(x, *args, **kwargs)
 
-    X, _ = spike_model(150, 20, 1, 30.0, 1.0, "positive", np.random.default_rng(3))
+    # d = 300, so that the BIC keeps a first factor and rank_select_bic deflates.
+    X, _ = spike_model(150, 20, 1, 300.0, 1.0, "positive", np.random.default_rng(3))
+    opts = decompose.FitOptions(max_iter=5)
+    calls = {"fit_single_factor": lambda: decompose.fit_single_factor(X, opts),
+             "detect_changepoint": lambda: detect_changepoint(X, 1, opts),
+             "fit_multi": lambda: fit_multi(X, [1, 1], "projection", opts),
+             "rank_select_bic": lambda: rank_select_bic(X, 2, 2, opts)}
+    seen_by = {}
     monkeypatch.setattr(np.linalg, "norm", spy_norm)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DidNotConvergeWarning)
-        decompose.fit_single_factor(X, decompose.FitOptions(max_iter=5))
-        fit_seen = seen.copy()
-        seen.clear()
-        detect_changepoint(X, 1, decompose.FitOptions(max_iter=5))
-    assert all(rec == 1 for rec in fit_seen), fit_seen
-    assert seen and all(rec == 1 for rec in seen), seen
+        for name, call in calls.items():
+            seen.clear()
+            call()
+            seen_by[name] = seen.copy()
+    assert seen_by.pop("fit_single_factor") == []
+    for name, records in seen_by.items():
+        assert records and all(rec == 1 for rec in records), (name, records)
     assert blas_threads() == 2
 
 
